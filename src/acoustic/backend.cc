@@ -85,6 +85,17 @@ acousticBackendNames()
             backendName(BackendKind::Int8Avx2)};
 }
 
+const ParallelFor &
+serialFor()
+{
+    static const ParallelFor serial =
+        [](std::size_t count, const std::function<void(std::size_t)> &fn) {
+            for (std::size_t i = 0; i < count; ++i)
+                fn(i);
+        };
+    return serial;
+}
+
 namespace {
 
 /** Total weight + bias bytes of the trained net at @p bytes_per_weight. */
@@ -120,7 +131,7 @@ class ReferenceBackend final : public Backend
     bool bitIdenticalToReference() const override { return true; }
 
     Matrix
-    scoreBatch(const Matrix &input) const override
+    scoreBatch(const Matrix &input, const ParallelFor &) const override
     {
         return net.forward(input);
     }
@@ -235,7 +246,7 @@ gemmPanel(const float *ASR_RESTRICT xd, std::size_t in,
     }
 }
 
-/** Signature shared by gemmPanel and its AVX2 twin. */
+/** Signature shared by gemmPanel and its AVX2 twins. */
 using PanelKernel = void (*)(const float *ASR_RESTRICT, std::size_t,
                              const float *ASR_RESTRICT,
                              const float *ASR_RESTRICT, std::size_t,
@@ -245,14 +256,92 @@ using PanelKernel = void (*)(const float *ASR_RESTRICT, std::size_t,
 #if ASR_HAVE_AVX2_KERNELS
 
 /**
- * gemmPanel with explicit AVX2+FMA: one broadcast load of x[k] FMAed
- * into four 8-lane accumulators covering the kTile panel.  Same
- * ascending-k single-accumulator-per-lane order as the scalar kernel,
- * but fused multiply-adds round once per step, so results differ from
- * the bit-identity contract by at most the FMA rounding delta (the
- * error-bound tests quantify this).
+ * k values per slice of the AVX2 panel kernel: 128 k x 32 lanes x 4 B
+ * = 16 KiB of packed weights, which stays in a 32 KiB L1 while every
+ * row of the row block streams past it.
  */
-__attribute__((target("avx2,fma"))) void
+constexpr std::size_t kSlice = 128;
+
+/**
+ * Rows the AVX2 micro-kernel register-blocks: 3 rows x 4 vectors =
+ * 12 accumulators, leaving 4 of the 16 ymm registers for the
+ * broadcast and the products.
+ */
+constexpr std::size_t kMicroRows = 3;
+
+/**
+ * acc + x * w per lane.  Unfused rounds the product and then the sum,
+ * exactly like the scalar kernel; fused is one FMA rounding.  The
+ * kernels are compiled for plain AVX2, so the compiler has no FMA to
+ * contract the unfused form into -- and the fused form has to be
+ * spelled in assembly.  Fused only runs where cpu::hasAvx2() also
+ * confirmed FMA.
+ */
+template <bool Fused>
+__attribute__((target("avx2"), always_inline)) inline __m256
+mulAdd(__m256 acc, __m256 x, __m256 w)
+{
+    if constexpr (Fused) {
+        __asm__("vfmadd231ps %2, %1, %0" : "+x"(acc) : "x"(x), "xm"(w));
+        return acc;
+    } else {
+        return _mm256_add_ps(acc, _mm256_mul_ps(x, w));
+    }
+}
+
+/**
+ * One k-slice of @p R rows x one 32-lane tile.  @p x points at row 0,
+ * column k0 of the input; @p p at row k0 of the packed panel; @p y at
+ * row 0, channel j0 of the output.  The first slice starts from zero,
+ * later ones resume from the partial sums the previous slice left in
+ * the output rows; the last adds the bias.  @p mask selects the
+ * tile's real output channels, so a tail tile never touches y past
+ * its row.
+ */
+template <bool Fused, std::size_t R>
+__attribute__((target("avx2"), always_inline)) inline void
+microTile(const float *ASR_RESTRICT x, std::size_t in,
+          const float *ASR_RESTRICT p, std::size_t kn,
+          const float *ASR_RESTRICT bias, float *ASR_RESTRICT y,
+          std::size_t out, const __m256i (&mask)[4], bool first,
+          bool last)
+{
+    __m256 acc[R][4];
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t v = 0; v < 4; ++v)
+            acc[r][v] = first ? _mm256_setzero_ps()
+                              : _mm256_maskload_ps(y + r * out + 8 * v,
+                                                   mask[v]);
+    for (std::size_t k = 0; k < kn; ++k) {
+        const float *ASR_RESTRICT pk = p + k * kTile;
+        for (std::size_t r = 0; r < R; ++r) {
+            const __m256 xv = _mm256_broadcast_ss(x + r * in + k);
+            for (std::size_t v = 0; v < 4; ++v)
+                acc[r][v] = mulAdd<Fused>(acc[r][v], xv,
+                                          _mm256_loadu_ps(pk + 8 * v));
+        }
+    }
+    for (std::size_t r = 0; r < R; ++r)
+        for (std::size_t v = 0; v < 4; ++v) {
+            __m256 sum = acc[r][v];
+            if (last)
+                sum = _mm256_add_ps(
+                    sum, _mm256_maskload_ps(bias + 8 * v, mask[v]));
+            _mm256_maskstore_ps(y + r * out + 8 * v, mask[v], sum);
+        }
+}
+
+/**
+ * gemmPanel with explicit AVX2: the panel is walked in kSlice-deep
+ * k-slices, and each slice is applied to every row in [r0, r1),
+ * kMicroRows at a time, before the next slice is touched.  Every
+ * output element is still one accumulator over ascending k with the
+ * bias added last, so the unfused kernel is bit-identical to the
+ * scalar one (and to the reference); the fused one differs by the FMA
+ * rounding delta only.
+ */
+template <bool Fused>
+__attribute__((target("avx2"))) void
 gemmPanelAvx2(const float *ASR_RESTRICT xd, std::size_t in,
               const float *ASR_RESTRICT panel,
               const float *ASR_RESTRICT bias, std::size_t j0,
@@ -260,78 +349,85 @@ gemmPanelAvx2(const float *ASR_RESTRICT xd, std::size_t in,
               std::size_t r0, std::size_t r1)
 {
     static_assert(kTile == 32, "kernel hard-codes four 8-lane vectors");
-    for (std::size_t r = r0; r < r1; ++r) {
-        const float *ASR_RESTRICT xrow = xd + r * in;
-        __m256 acc0 = _mm256_setzero_ps();
-        __m256 acc1 = _mm256_setzero_ps();
-        __m256 acc2 = _mm256_setzero_ps();
-        __m256 acc3 = _mm256_setzero_ps();
-        for (std::size_t k = 0; k < in; ++k) {
-            const __m256 xv = _mm256_set1_ps(xrow[k]);
-            const float *ASR_RESTRICT p = panel + k * kTile;
-            acc0 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(p), acc0);
-            acc1 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(p + 8), acc1);
-            acc2 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(p + 16), acc2);
-            acc3 = _mm256_fmadd_ps(xv, _mm256_loadu_ps(p + 24), acc3);
-        }
-        float *ASR_RESTRICT yrow = yd + r * out;
-        if (jn == kTile) {
-            _mm256_storeu_ps(
-                yrow + j0,
-                _mm256_add_ps(acc0, _mm256_loadu_ps(bias + j0)));
-            _mm256_storeu_ps(
-                yrow + j0 + 8,
-                _mm256_add_ps(acc1, _mm256_loadu_ps(bias + j0 + 8)));
-            _mm256_storeu_ps(
-                yrow + j0 + 16,
-                _mm256_add_ps(acc2, _mm256_loadu_ps(bias + j0 + 16)));
-            _mm256_storeu_ps(
-                yrow + j0 + 24,
-                _mm256_add_ps(acc3, _mm256_loadu_ps(bias + j0 + 24)));
-        } else {
-            alignas(32) float acc[kTile];
-            _mm256_store_ps(acc, acc0);
-            _mm256_store_ps(acc + 8, acc1);
-            _mm256_store_ps(acc + 16, acc2);
-            _mm256_store_ps(acc + 24, acc3);
-            for (std::size_t t = 0; t < jn; ++t)
-                yrow[j0 + t] = acc[t] + bias[j0 + t];
-        }
+    static_assert(kMicroRows == 3, "row tails below cover 1 and 2 rows");
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    __m256i mask[4];
+    for (std::size_t v = 0; v < 4; ++v)
+        mask[v] = _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(int(jn) - int(8 * v)), lanes);
+    // Runs at least once, so in == 0 still writes the bias.
+    for (std::size_t k0 = 0;; k0 += kSlice) {
+        const std::size_t kn = std::min(kSlice, in - k0);
+        const bool first = k0 == 0;
+        const bool last = k0 + kn == in;
+        const float *p = panel + k0 * kTile;
+        std::size_t r = r0;
+        for (; r + kMicroRows <= r1; r += kMicroRows)
+            microTile<Fused, kMicroRows>(xd + r * in + k0, in, p, kn,
+                                         bias + j0, yd + r * out + j0,
+                                         out, mask, first, last);
+        if (r1 - r == 2)
+            microTile<Fused, 2>(xd + r * in + k0, in, p, kn, bias + j0,
+                                yd + r * out + j0, out, mask, first,
+                                last);
+        else if (r1 - r == 1)
+            microTile<Fused, 1>(xd + r * in + k0, in, p, kn, bias + j0,
+                                yd + r * out + j0, out, mask, first,
+                                last);
+        if (last)
+            break;
     }
 }
 
 #endif // ASR_HAVE_AVX2_KERNELS
 
-/** The panel kernel cpu::hasAvx2() resolves to right now. */
+/**
+ * The panel kernel cpu::hasAvx2() resolves to right now: the AVX2
+ * kernel, fused or not, or the scalar gemmPanel.
+ */
+template <bool Fused>
 PanelKernel
 pickPanelKernel()
 {
 #if ASR_HAVE_AVX2_KERNELS
     if (cpu::hasAvx2())
-        return &gemmPanelAvx2;
+        return &gemmPanelAvx2<Fused>;
 #endif
     return &gemmPanel;
 }
 
-/** Full packed-layer GEMM with row blocking for cache reuse. */
+/**
+ * Full packed-layer GEMM with row blocking for cache reuse.  The
+ * (row block x tile) items are independent -- each writes its own
+ * rows x channels of @p y -- so from kGemmSplitFloorMacs on they go to
+ * @p par, in any order, on any threads, without changing a bit.
+ */
 void
 gemmPacked(const Matrix &x, const PackedLayer &layer, Matrix &y,
-           PanelKernel kernel)
+           PanelKernel kernel, const ParallelFor &par)
 {
     const std::size_t rows = x.rows();
     const float *xd = x.data().data();
     float *yd = y.data().data();
-    for (std::size_t r0 = 0; r0 < rows; r0 += kRowBlock) {
+    const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+    const auto item = [&](std::size_t i) {
+        const std::size_t r0 = (i / layer.tiles) * kRowBlock;
         const std::size_t r1 = std::min(rows, r0 + kRowBlock);
-        for (std::size_t tile = 0; tile < layer.tiles; ++tile) {
-            const float *panel =
-                layer.packed.data() + tile * layer.in * kTile;
-            const std::size_t j0 = tile * kTile;
-            const std::size_t jn = std::min(kTile, layer.out - j0);
-            kernel(xd, layer.in, panel, layer.bias.data(), j0, jn, yd,
-                   layer.out, r0, r1);
-        }
+        const std::size_t tile = i % layer.tiles;
+        const float *panel = layer.packed.data() + tile * layer.in * kTile;
+        const std::size_t j0 = tile * kTile;
+        const std::size_t jn = std::min(kTile, layer.out - j0);
+        kernel(xd, layer.in, panel, layer.bias.data(), j0, jn, yd,
+               layer.out, r0, r1);
+    };
+    const std::size_t items = blocks * layer.tiles;
+    if (std::uint64_t(rows) * layer.in * layer.out >=
+        kGemmSplitFloorMacs) {
+        par(items, item);
+        return;
     }
+    for (std::size_t i = 0; i < items; ++i)
+        item(i);
 }
 
 /**
@@ -343,7 +439,7 @@ class PackedFloatBackend : public Backend
 {
   public:
     Matrix
-    scoreBatch(const Matrix &input) const override
+    scoreBatch(const Matrix &input, const ParallelFor &par) const override
     {
         ASR_ASSERT(input.cols() == inputDim(),
                    "backend input dim %zu != %zu", input.cols(),
@@ -355,7 +451,7 @@ class PackedFloatBackend : public Backend
         Matrix cur;
         for (std::size_t l = 0; l < layers.size(); ++l) {
             Matrix y(x->rows(), layers[l].out);
-            gemmPacked(*x, layers[l], y, kernel);
+            gemmPacked(*x, layers[l], y, kernel, par);
             if (l + 1 < layers.size())
                 reluInPlace(y);
             cur = std::move(y);
@@ -405,6 +501,12 @@ class PackedFloatBackend : public Backend
         logSoftmaxRow(out);
     }
 
+    std::string_view
+    isa() const override
+    {
+        return kernel == &gemmPanel ? "scalar" : "avx2";
+    }
+
     std::uint64_t macsPerFrame() const override { return macs; }
     std::uint64_t
     weightBytesPerFrame() const override
@@ -430,12 +532,15 @@ class PackedFloatBackend : public Backend
     std::uint64_t weightBytes;
 };
 
-/** The default float backend: scalar kernel, bit-identical. */
+/**
+ * The default float backend: the unfused AVX2 kernel, or the scalar
+ * one without AVX2 -- bit-identical to reference either way.
+ */
 class BlockedBackend final : public PackedFloatBackend
 {
   public:
     explicit BlockedBackend(const Dnn &dnn)
-        : PackedFloatBackend(dnn, &gemmPanel)
+        : PackedFloatBackend(dnn, pickPanelKernel<false>())
     {
     }
 
@@ -444,7 +549,7 @@ class BlockedBackend final : public PackedFloatBackend
 };
 
 /**
- * AVX2+FMA float backend.  Bit-identical to reference only when it
+ * The same kernel with FMA.  Bit-identical to reference only when it
  * had to fall back to the scalar kernel; with SIMD active, FMA's
  * single rounding per step voids the contract (error-bound tested).
  */
@@ -452,7 +557,7 @@ class BlockedAvx2Backend final : public PackedFloatBackend
 {
   public:
     explicit BlockedAvx2Backend(const Dnn &dnn)
-        : BlockedAvx2Backend(dnn, pickPanelKernel())
+        : PackedFloatBackend(dnn, pickPanelKernel<true>())
     {
     }
 
@@ -461,21 +566,11 @@ class BlockedAvx2Backend final : public PackedFloatBackend
     {
         return BackendKind::BlockedAvx2;
     }
-    bool bitIdenticalToReference() const override { return !simd; }
-    std::string_view
-    isa() const override
+    bool
+    bitIdenticalToReference() const override
     {
-        return simd ? "avx2" : "scalar";
+        return isa() == "scalar";
     }
-
-  private:
-    BlockedAvx2Backend(const Dnn &dnn, PanelKernel kernel_fn)
-        : PackedFloatBackend(dnn, kernel_fn),
-          simd(kernel_fn != &gemmPanel)
-    {
-    }
-
-    bool simd;
 };
 
 // ---------------------------------------------------------------------------
@@ -647,7 +742,7 @@ class Int8BackendBase : public Backend
 {
   public:
     Matrix
-    scoreBatch(const Matrix &input) const override
+    scoreBatch(const Matrix &input, const ParallelFor &) const override
     {
         ASR_ASSERT(input.cols() == inputDim(),
                    "backend input dim %zu != %zu", input.cols(),

@@ -17,17 +17,20 @@
  *    with; the correctness oracle every other backend is measured
  *    against.
  *  - Blocked:     the same arithmetic over weights repacked at
- *    construction into SIMD-friendly column tiles, row-blocked for
- *    cache reuse.  Bit-identical to Reference (see below) and the
- *    default in pipeline::AsrModel.
- *  - BlockedAvx2: the Blocked layout driven by an explicit AVX2+FMA
- *    kernel (8-lane broadcast-FMA over the 32-wide k-major tiles).
- *    FMA fuses each multiply-add into one rounding, so this backend
- *    is NOT bitwise against Reference; it is validated by the
- *    error-bound harness instead (same ascending-k order, so the
- *    error is the FMA rounding delta only).  Falls back to the
- *    scalar Blocked kernel -- and full bit-identity -- when the host
- *    lacks AVX2/FMA (common/cpuinfo.hh).
+ *    construction into 32-wide k-major column tiles.  With AVX2 it
+ *    runs an explicit kernel that register-blocks 3 rows x one tile
+ *    and walks the panel in L1-sized k-slices, with separate
+ *    multiply and add (compiled without FMA, so nothing contracts);
+ *    without it, the scalar tile kernel.  Bit-identical to Reference
+ *    on both paths (see below) and the default in
+ *    pipeline::AsrModel.
+ *  - BlockedAvx2: the same AVX2 kernel with fused multiply-add.  FMA
+ *    rounds each multiply-add once, so this backend is NOT bitwise
+ *    against Reference; it is validated by the error-bound harness
+ *    instead (same ascending-k order, so the error is the FMA
+ *    rounding delta only).  Falls back to the scalar Blocked kernel
+ *    -- and full bit-identity -- when the host lacks AVX2/FMA
+ *    (common/cpuinfo.hh).
  *  - Int8:        per-output-channel symmetric weight quantization
  *    with dynamic per-frame activation quantization; 4x smaller
  *    weight traffic (the gpu:: analytical models read the byte
@@ -55,13 +58,18 @@
  *
  * Thread safety: backends are immutable after construction; both
  * entry points are const and use caller-provided or local scratch, so
- * one backend instance serves any number of concurrent sessions.
+ * one backend instance serves any number of concurrent sessions.  A
+ * batch can also be split across threads: scoreBatch hands the
+ * packed backends' per-layer GEMM work items to a caller-supplied
+ * ParallelFor.  Each output element is written by exactly one item,
+ * with the same arithmetic, so the split never changes a bit.
  */
 
 #ifndef ASR_ACOUSTIC_BACKEND_HH
 #define ASR_ACOUSTIC_BACKEND_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -77,8 +85,8 @@ namespace asr::acoustic {
 enum class BackendKind
 {
     Reference,    //!< naive float GEMM (the training-time path)
-    Blocked,      //!< packed-tile, cache-blocked float GEMM
-    BlockedAvx2,  //!< Blocked layout, AVX2+FMA kernel (scalar fallback)
+    Blocked,      //!< packed-tile float GEMM (AVX2 or scalar kernel)
+    BlockedAvx2,  //!< Blocked's AVX2 kernel with FMA (scalar fallback)
     Int8,         //!< int8 weight-quantized GEMM
     Int8Avx2,     //!< Int8 scheme, AVX2 maddubs kernel (scalar fallback)
 };
@@ -108,6 +116,25 @@ std::vector<std::string_view> acousticBackendNames();
  * valid choices.
  */
 std::string unknownBackendMessage(std::string_view name);
+
+/**
+ * Runs fn(0) .. fn(count - 1) -- in any order, on any threads -- and
+ * returns once every call has finished.
+ */
+using ParallelFor = std::function<void(
+    std::size_t count, const std::function<void(std::size_t)> &fn)>;
+
+/** The ParallelFor that runs every index in order on the caller. */
+const ParallelFor &serialFor();
+
+/**
+ * rows x in x out MACs from which scoreBatch hands a layer's GEMM to
+ * its ParallelFor: a split costs one barrier across the caller's
+ * threads (tens of microseconds of wake-ups), which 2^21 MACs --
+ * about 0.15 ms of one core's kernel time -- amortizes.
+ */
+inline constexpr std::uint64_t kGemmSplitFloorMacs = std::uint64_t(1)
+                                                     << 21;
 
 /**
  * Caller-owned scratch for the streaming-frame entry point.  A
@@ -148,9 +175,20 @@ class Backend
     /**
      * Batch entry point: @p input is batch x inputDim spliced feature
      * rows; returns batch x outputDim log-softmax scores.  Row r of
-     * the result depends only on row r of the input.
+     * the result depends only on row r of the input.  Each layer's
+     * GEMM work goes through @p par once it is large enough to be
+     * worth a split (layers stay sequential); the result is
+     * bit-identical to the serial overload's.
      */
-    virtual Matrix scoreBatch(const Matrix &input) const = 0;
+    virtual Matrix scoreBatch(const Matrix &input,
+                              const ParallelFor &par) const = 0;
+
+    /** scoreBatch on the calling thread alone. */
+    Matrix
+    scoreBatch(const Matrix &input) const
+    {
+        return scoreBatch(input, serialFor());
+    }
 
     /**
      * Streaming entry point: score one spliced frame into @p out

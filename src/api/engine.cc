@@ -1090,15 +1090,23 @@ Engine::tick(std::vector<ActiveSession> &active)
     for (const ActiveSession &as : active)
         work += as.tickWork;
 
-    // Stage 2: one cross-session batched forward pass (coordinator).
-    // An auto-endpointed stream contributes its active segment's
-    // session -- null between segments, which the scorer tolerates.
+    // Stage 2: one cross-session batched forward pass.  The
+    // coordinator gathers the rows; each layer's GEMM is split
+    // across the stage threads (one runStage barrier per layer, and
+    // only for layers big enough to pay for it).  An auto-endpointed
+    // stream contributes its active segment's session -- null
+    // between segments, which the scorer tolerates.
     std::vector<server::StreamingSession *> sessions;
     sessions.reserve(active.size());
     for (ActiveSession &as : active)
         sessions.push_back(as.segmented ? as.segmented->active()
                                         : as.session.get());
-    const std::size_t rows = batchScorer->score(sessions);
+    const acoustic::ParallelFor gemmSplit =
+        [this](std::size_t count,
+               const std::function<void(std::size_t)> &fn) {
+            runStage(count, fn);
+        };
+    const std::size_t rows = batchScorer->score(sessions, gemmSplit);
     if (rows > 0)
         stats_.recordDnnBatch(rows,
                               batchScorer->lastForwardSeconds());

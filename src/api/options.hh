@@ -49,11 +49,11 @@ struct EngineOptions : server::SessionKnobs
      * stream's inbound queue holds), coalesces all pending spliced
      * frames into one batched forward pass (server::BatchScorer),
      * then feeds the scores to each session's frame-synchronous
-     * search.  The per-session advance and search stages run in
-     * parallel across the worker pool; the GEMM batch grows with the
-     * number of active sessions, not the thread count.  Float-backend
-     * results stay bit-identical to non-batched mode (see
-     * acoustic/backend.hh).
+     * search.  The per-session advance and search stages, and each
+     * large layer's GEMM, run in parallel across the worker pool;
+     * the GEMM batch grows with the number of active sessions, not
+     * the thread count.  Float-backend results stay bit-identical to
+     * non-batched mode (see acoustic/backend.hh).
      */
     bool batchScoring = false;
 

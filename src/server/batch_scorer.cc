@@ -13,7 +13,8 @@ BatchScorer::BatchScorer(const pipeline::AsrModel &model)
 }
 
 std::size_t
-BatchScorer::score(std::span<StreamingSession *const> sessions)
+BatchScorer::score(std::span<StreamingSession *const> sessions,
+                   const acoustic::ParallelFor &par)
 {
     bases_.resize(sessions.size());
     rows_.resize(sessions.size());
@@ -32,7 +33,7 @@ BatchScorer::score(std::span<StreamingSession *const> sessions)
     for (std::size_t i = 0; i < sessions.size(); ++i)
         if (rows_[i] > 0)
             sessions[i]->exportPending(input, bases_[i]);
-    scores_ = model.backend().scoreBatch(input);
+    scores_ = model.backend().scoreBatch(input, par);
     forwardSeconds = secondsSince(t0);
     return totalRows;
 }

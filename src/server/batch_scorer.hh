@@ -10,10 +10,13 @@
  * the float paths: each session's scores are bit-identical to inline
  * per-frame scoring no matter how frames are coalesced.
  *
- * Single-threaded by design: one BatchScorer is driven by the
- * scheduler's coordinator between the parallel advance/consume
- * stages; sessions read their score rows back concurrently via
- * consumePendingScores (disjoint rows of the immutable result).
+ * Threading: one BatchScorer is driven by the scheduler's
+ * coordinator between the parallel advance/consume stages.  The
+ * forward pass itself is split across the caller's threads through
+ * the ParallelFor score() forwards to the backend (bit-identical to
+ * a serial pass); sessions then read their score rows back
+ * concurrently via consumePendingScores (disjoint rows of the
+ * immutable result).
  */
 
 #ifndef ASR_SERVER_BATCH_SCORER_HH
@@ -23,6 +26,7 @@
 #include <span>
 #include <vector>
 
+#include "acoustic/backend.hh"
 #include "acoustic/matrix.hh"
 #include "pipeline/model.hh"
 #include "server/session.hh"
@@ -39,10 +43,12 @@ class BatchScorer
      * Gather every pending spliced frame of @p sessions into one
      * batch matrix and run a single backend forward pass.  Null
      * entries (sessions retired mid-tick, e.g. a cancelled live
-     * stream that never got one) contribute zero rows.
+     * stream that never got one) contribute zero rows.  The
+     * backend splits its GEMM work through @p par.
      * @return total frames scored this tick (0 = no forward ran)
      */
-    std::size_t score(std::span<StreamingSession *const> sessions);
+    std::size_t score(std::span<StreamingSession *const> sessions,
+                      const acoustic::ParallelFor &par);
 
     /** Log-softmax scores of the last tick (rows match the gather). */
     const acoustic::Matrix &scores() const { return scores_; }

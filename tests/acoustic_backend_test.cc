@@ -7,15 +7,22 @@
  * backend, and the int8 backend must stay within bounded score error
  * of the float paths.
  *
- * The AVX2 variants have their own contracts: int8-avx2 must be
- * bit-identical to scalar int8 (integer addition is associative);
- * blocked-avx2 trades bitwise identity for an FMA error bound when
- * SIMD is active, and must degrade to the bit-identical scalar
- * kernel when AVX2 is unavailable (exercised via the test override).
+ * The AVX2 variants have their own contracts: blocked must stay
+ * bitwise on its AVX2 kernel and on the scalar fallback alike;
+ * int8-avx2 must be bit-identical to scalar int8 (integer addition is
+ * associative); blocked-avx2 trades bitwise identity for an FMA error
+ * bound when SIMD is active, and must degrade to the bit-identical
+ * scalar kernel when AVX2 is unavailable (exercised via the test
+ * override).
+ *
+ * Splitting a batch across threads (scoreBatch with a ParallelFor)
+ * must not change a bit on any backend, whatever order and threads
+ * the items run on, and must engage exactly from the split floor.
  */
 
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -52,6 +59,23 @@ randomInput(std::size_t rows, std::size_t cols, std::uint64_t seed)
     return m;
 }
 
+/**
+ * makeNet plus one SGD step on random data.  A fresh Dnn has all-zero
+ * biases, which would hide a kernel that adds the bias at the wrong
+ * point (say, once per k-slice).
+ */
+Dnn
+makeBiasedNet(std::size_t input, std::vector<std::size_t> hidden,
+              std::size_t output, std::uint64_t seed)
+{
+    Dnn net = makeNet(input, std::move(hidden), output, seed);
+    std::vector<std::uint32_t> labels(16);
+    for (std::size_t i = 0; i < labels.size(); ++i)
+        labels[i] = std::uint32_t(i % output);
+    net.trainStep(randomInput(labels.size(), input, seed), labels);
+    return net;
+}
+
 /** Exact float equality, element by element. */
 void
 expectBitIdentical(const Matrix &a, const Matrix &b)
@@ -62,6 +86,86 @@ expectBitIdentical(const Matrix &a, const Matrix &b)
         for (std::size_t c = 0; c < a.cols(); ++c)
             ASSERT_EQ(a.at(r, c), b.at(r, c))
                 << "mismatch at (" << r << ", " << c << ")";
+}
+
+/** Restores the SIMD test override on scope exit. */
+struct ScalarOverrideGuard
+{
+    explicit ScalarOverrideGuard(bool force)
+    {
+        cpu::setForceScalarForTest(force);
+    }
+    ~ScalarOverrideGuard() { cpu::clearForceScalarForTest(); }
+};
+
+constexpr BackendKind kAllKinds[] = {
+    BackendKind::Reference, BackendKind::Blocked,
+    BackendKind::BlockedAvx2, BackendKind::Int8,
+    BackendKind::Int8Avx2};
+
+/**
+ * Blocked vs reference over shapes chosen to exercise the packed
+ * layout's tails: output dims below one tile, exactly one tile, and
+ * off-tile remainders; odd input dims, and one (300) deeper than the
+ * AVX2 kernel's 128-k slice and not a multiple of it; zero, one and
+ * two hidden layers.  Batch sizes 1-7 and 33 cover the 3-row
+ * register-block tails and the 32-row block tail.
+ */
+void
+expectBlockedMatchesReference()
+{
+    struct Shape
+    {
+        std::size_t in;
+        std::vector<std::size_t> hidden;
+        std::size_t out;
+    };
+    const Shape shapes[] = {
+        {5, {7}, 3},        // everything smaller than a tile
+        {16, {16}, 8},      // exact tile multiples
+        {33, {17, 9}, 13},  // off-tile everywhere, two hidden layers
+        {65, {96, 96}, 24}, // the demo model's shape
+        {13, {}, 5},        // no hidden layer at all
+        {300, {200}, 37},   // several k-slices, ragged last slice
+    };
+    std::uint64_t seed = 1;
+    for (const Shape &s : shapes) {
+        const Dnn net =
+            makeBiasedNet(s.in, s.hidden, s.out, 1000 + seed);
+        const auto ref = Backend::create(BackendKind::Reference, net);
+        const auto blk = Backend::create(BackendKind::Blocked, net);
+        ASSERT_EQ(blk->isa(), cpu::hasAvx2() ? "avx2" : "scalar");
+        for (std::size_t batch :
+             {1u, 2u, 3u, 4u, 5u, 6u, 7u, 17u, 33u, 64u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "shape in=" << s.in << " out=" << s.out
+                         << " batch=" << batch);
+            const Matrix input = randomInput(batch, s.in, seed++);
+            expectBitIdentical(ref->scoreBatch(input),
+                               blk->scoreBatch(input));
+        }
+    }
+}
+
+/**
+ * A ParallelFor that runs the items in reverse order, dealt across
+ * @p threads std::threads -- as unlike the serial loop as possible.
+ */
+ParallelFor
+reversedOnThreads(unsigned threads)
+{
+    return [threads](std::size_t count,
+                     const std::function<void(std::size_t)> &fn) {
+        std::vector<std::thread> pool;
+        for (unsigned t = 0; t < threads; ++t)
+            pool.emplace_back([&fn, count, threads, t] {
+                for (std::size_t i = count; i-- > 0;)
+                    if (i % threads == t)
+                        fn(i);
+            });
+        for (std::thread &th : pool)
+            th.join();
+    };
 }
 
 } // namespace
@@ -82,33 +186,16 @@ TEST(BackendNames, RoundTrip)
 
 TEST(BackendEquivalence, BlockedMatchesReferenceBitExact)
 {
-    // Shapes chosen to exercise the packed layout's tails: output
-    // dims below one tile, exactly one tile, and off-tile remainders;
-    // odd input dims; one and two hidden layers.
-    struct Shape
-    {
-        std::size_t in;
-        std::vector<std::size_t> hidden;
-        std::size_t out;
-    };
-    const Shape shapes[] = {
-        {5, {7}, 3},       // everything smaller than a tile
-        {16, {16}, 8},     // exact tile multiples
-        {33, {17, 9}, 13}, // off-tile everywhere, two hidden layers
-        {65, {96, 96}, 24},// the demo model's shape
-        {13, {}, 5},       // no hidden layer at all
-    };
-    std::uint64_t seed = 1;
-    for (const Shape &s : shapes) {
-        const Dnn net = makeNet(s.in, s.hidden, s.out, 1000 + seed);
-        const auto ref = Backend::create(BackendKind::Reference, net);
-        const auto blk = Backend::create(BackendKind::Blocked, net);
-        for (std::size_t batch : {1u, 2u, 3u, 17u, 64u}) {
-            const Matrix input = randomInput(batch, s.in, seed++);
-            expectBitIdentical(ref->scoreBatch(input),
-                               blk->scoreBatch(input));
-        }
-    }
+    expectBlockedMatchesReference();
+}
+
+TEST(BackendEquivalence, BlockedMatchesReferenceBitExactForcedScalar)
+{
+    // The same sweep on the scalar fallback (the override is read at
+    // construction, so it wraps backend creation).
+    const ScalarOverrideGuard guard(true);
+    ASSERT_FALSE(cpu::hasAvx2());
+    expectBlockedMatchesReference();
 }
 
 TEST(BackendEquivalence, ScoreFrameMatchesBatchRow)
@@ -228,20 +315,6 @@ TEST(BackendCostModel, MacsAndWeightBytes)
     EXPECT_FALSE(q->bitIdenticalToReference());
 }
 
-namespace {
-
-/** Restores the SIMD test override on scope exit. */
-struct ScalarOverrideGuard
-{
-    explicit ScalarOverrideGuard(bool force)
-    {
-        cpu::setForceScalarForTest(force);
-    }
-    ~ScalarOverrideGuard() { cpu::clearForceScalarForTest(); }
-};
-
-} // namespace
-
 TEST(BackendSimd, BlockedAvx2WithinErrorBoundOfReference)
 {
     // FMA contraction and lane-parallel accumulation reorder the
@@ -348,9 +421,12 @@ TEST(BackendSimd, ForcedScalarFallbackIsBitIdentical)
     ASSERT_FALSE(cpu::hasAvx2());
     const Dnn net = makeNet(33, {17, 9}, 13, 808);
     const auto ref = Backend::create(BackendKind::Reference, net);
+    const auto blk = Backend::create(BackendKind::Blocked, net);
     const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
     const auto int8 = Backend::create(BackendKind::Int8, net);
     const auto qavx = Backend::create(BackendKind::Int8Avx2, net);
+    EXPECT_EQ(blk->isa(), "scalar");
+    EXPECT_TRUE(blk->bitIdenticalToReference());
     EXPECT_EQ(avx->isa(), "scalar");
     EXPECT_EQ(qavx->isa(), "scalar");
     EXPECT_TRUE(avx->bitIdenticalToReference());
@@ -365,11 +441,17 @@ TEST(BackendSimd, IsaReportsDispatchDecision)
 {
     const Dnn net = makeNet(12, {8}, 6, 99);
     const auto ref = Backend::create(BackendKind::Reference, net);
+    const auto blk = Backend::create(BackendKind::Blocked, net);
     const auto avx = Backend::create(BackendKind::BlockedAvx2, net);
     const auto qavx = Backend::create(BackendKind::Int8Avx2, net);
     EXPECT_EQ(ref->isa(), "scalar");
     const std::string_view expect =
         cpu::hasAvx2() ? "avx2" : "scalar";
+    EXPECT_EQ(blk->isa(), expect);
+    // blocked keeps the contract on either kernel; blocked-avx2
+    // keeps it only on the scalar fallback.
+    EXPECT_TRUE(blk->bitIdenticalToReference());
+    EXPECT_EQ(avx->bitIdenticalToReference(), expect == "scalar");
     EXPECT_EQ(avx->isa(), expect);
     EXPECT_EQ(qavx->isa(), expect);
     // The dispatch predicate and the human-readable level agree.
@@ -409,5 +491,69 @@ TEST(BackendEquivalence, ZeroInputRow)
         for (std::size_t c = 0; c < qi.cols(); ++c)
             sum += std::exp(double(qi.at(r, c)));
         ASSERT_NEAR(sum, 1.0, 1e-4);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Splitting a batch across threads.
+// ---------------------------------------------------------------------------
+
+TEST(BackendSplit, ParallelScoreBatchMatchesSerialBitExact)
+{
+    // Nets whose first layer is past the split floor at these batch
+    // sizes, so the packed backends really hand their items out; the
+    // other backends ignore the ParallelFor and must agree anyway.
+    const Dnn nets[] = {makeBiasedNet(300, {200}, 37, 71),
+                        makeBiasedNet(256, {256, 256}, 256, 72)};
+    const ParallelFor par = reversedOnThreads(3);
+    std::uint64_t seed = 7000;
+    for (const Dnn &net : nets)
+        for (const BackendKind kind : kAllKinds) {
+            const auto backend = Backend::create(kind, net);
+            for (std::size_t batch : {1u, 33u, 64u, 100u}) {
+                SCOPED_TRACE(::testing::Message()
+                             << backendName(kind) << " batch "
+                             << batch);
+                const Matrix input =
+                    randomInput(batch, net.config().inputDim, seed++);
+                expectBitIdentical(backend->scoreBatch(input),
+                                   backend->scoreBatch(input, par));
+            }
+        }
+}
+
+TEST(BackendSplit, SplitEngagesFromTheFloor)
+{
+    // One 256 x 256 layer: 32 rows is exactly kGemmSplitFloorMacs,
+    // 31 rows is just under it.
+    static_assert(32 * 256 * 256 == kGemmSplitFloorMacs);
+    const Dnn net = makeBiasedNet(256, {}, 256, 73);
+    std::vector<std::size_t> calls;  // item count of each split
+    const ParallelFor counting =
+        [&calls](std::size_t count,
+                 const std::function<void(std::size_t)> &fn) {
+            calls.push_back(count);
+            serialFor()(count, fn);
+        };
+    for (const BackendKind kind : kAllKinds) {
+        const auto backend = Backend::create(kind, net);
+        const bool packed = kind == BackendKind::Blocked ||
+                            kind == BackendKind::BlockedAvx2;
+        for (std::size_t batch : {31u, 32u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << backendName(kind) << " batch " << batch);
+            calls.clear();
+            const Matrix input = randomInput(batch, 256, 8000 + batch);
+            expectBitIdentical(backend->scoreBatch(input),
+                               backend->scoreBatch(input, counting));
+            if (packed && batch == 32) {
+                // One split for the one layer: one 32-row block x 8
+                // 32-channel tiles.
+                ASSERT_EQ(calls.size(), 1u);
+                EXPECT_EQ(calls[0], 8u);
+            } else {
+                EXPECT_TRUE(calls.empty());
+            }
+        }
     }
 }

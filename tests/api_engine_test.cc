@@ -14,7 +14,8 @@
  *  - Concurrency: >= 8 interleaved live streams over a small worker
  *    pool in batch mode (TSan runs this via the concurrency label),
  *    with live frames provably reaching the cross-session batch
- *    scorer (mean batch rows > 1).
+ *    scorer (mean batch rows > 1); a batch GEMM split across the
+ *    stage threads matches a 1-thread engine bit for bit.
  *  - Options validation: unknown search/acoustic backend names are
  *    rejected with diagnostics listing the registered ones.
  *  - EngineStats: time-to-first-partial is recorded and rendered.
@@ -35,6 +36,7 @@
 
 #include <gtest/gtest.h>
 
+#include "acoustic/backend.hh"
 #include "api/engine.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -741,6 +743,53 @@ TEST_F(ApiEngineTest, EightInterleavedLiveStreams)
     EXPECT_GT(snap.dnnMeanBatchRows(), 1.0);
     // Every stream that produced words showed a first partial.
     EXPECT_GT(snap.firstPartials, 0u);
+}
+
+TEST_F(ApiEngineTest, GemmSplitAcrossStageThreadsIsBitIdentical)
+{
+    // A DNN wide enough that a tick's first layer passes the GEMM
+    // split floor, so a 3-thread batch engine deals that layer's work
+    // items to its stage workers (TSan covers the cross-thread
+    // writes via the concurrency label).  The 1-thread engine scores
+    // the same ticks serially; the results must match bit for bit.
+    // Accuracy does not matter here, so training is minimal.
+    pipeline::AsrSystemConfig mcfg = modelConfig();
+    mcfg.hiddenLayers = {1024};
+    mcfg.trainUtterPerPhoneme = 2;
+    mcfg.trainEpochs = 1;
+    const pipeline::AsrModel wide(*net, mcfg);
+
+    constexpr unsigned kUtterances = 8;
+    std::vector<frontend::AudioSignal> corpus;
+    for (unsigned u = 0; u < kUtterances; ++u)
+        corpus.push_back(testAudio(300 + u, 4 + u % 3));
+
+    const auto runAll = [&](unsigned threads) {
+        EngineOptions opts;
+        opts.numThreads = threads;
+        opts.batchScoring = true;
+        Engine engine(wide, opts);
+        std::vector<std::future<pipeline::RecognitionResult>> futures;
+        for (const frontend::AudioSignal &audio : corpus)
+            futures.push_back(engine.submit(audio));
+        std::vector<pipeline::RecognitionResult> results;
+        for (auto &f : futures)
+            results.push_back(f.get());
+        // The widest tick must have been big enough to split.
+        const std::uint64_t macs =
+            std::uint64_t(engine.stats().dnnMaxBatchRows) *
+            wide.backend().inputDim() * mcfg.hiddenLayers[0];
+        EXPECT_GE(macs, acoustic::kGemmSplitFloorMacs)
+            << threads << "-thread engine";
+        return results;
+    };
+    const auto want = runAll(1);
+    const auto got = runAll(3);
+    ASSERT_EQ(got.size(), want.size());
+    for (unsigned u = 0; u < kUtterances; ++u) {
+        EXPECT_EQ(got[u].words, want[u].words) << "utterance " << u;
+        EXPECT_EQ(got[u].score, want[u].score) << "utterance " << u;
+    }
 }
 
 TEST_F(ApiEngineTest, PartialCallbacksFireOnChange)

@@ -251,7 +251,7 @@ TEST_F(ServerBatchTest, DeferredProtocolRoundTripsByHand)
     StreamingSession *sessions[] = {&deferred};
 
     const auto drainPending = [&] {
-        if (scorer.score(sessions) > 0)
+        if (scorer.score(sessions, acoustic::serialFor()) > 0)
             deferred.consumePendingScores(scorer.scores(),
                                           scorer.base(0),
                                           scorer.secondsShare(0));
