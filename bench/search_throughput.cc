@@ -300,6 +300,8 @@ main(int argc, char **argv)
                 std::chrono::steady_clock::now() - t0)
                 .count();
 
+        constexpr double kRecordMb =
+            double(decoder::ViterbiDecoder::kArenaRecordBytes) / 1e6;
         const std::uint64_t appended =
             r.stats.arenaPeakEntries + 0;  // peak is post-GC bounded
         const std::uint64_t total_appends =
@@ -313,12 +315,12 @@ main(int argc, char **argv)
             frames,
             static_cast<unsigned long long>(cfg.arenaGcWatermark),
             static_cast<unsigned long long>(r.stats.arenaPeakEntries),
-            double(r.stats.arenaPeakEntries) * 16.0 / 1e6,
+            double(r.stats.arenaPeakEntries) * kRecordMb,
             static_cast<unsigned long long>(r.stats.arenaGcRuns),
             static_cast<unsigned long long>(
                 r.stats.arenaEntriesReclaimed),
             static_cast<unsigned long long>(total_appends),
-            double(total_appends) * 16.0 / 1e6,
+            double(total_appends) * kRecordMb,
             seconds / (double(frames) * 0.010));
 
         report.beginRow();

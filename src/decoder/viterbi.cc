@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "common/logging.hh"
 #include "wfst/compact.hh"
@@ -121,7 +122,7 @@ struct CompactArcView
 
 ViterbiDecoder::ViterbiDecoder(const wfst::Wfst &wfst,
                                const DecoderConfig &config)
-    : net(wfst), cfg(config), visits(wfst.numStates(), 0)
+    : net(wfst), cfg(config)
 {
     ASR_ASSERT(cfg.beam > 0.0f, "beam must be positive");
     if (cfg.useCompactArcs)
@@ -147,7 +148,10 @@ ViterbiDecoder::relax(TokenStore &store, wfst::StateId state,
     }
     // New or strictly better path: record a fresh backpointer, the
     // same way the Token Issuer writes a new trace entry.
-    arena.push_back(BackPtr{prev_bp, word});
+    ASR_ASSERT(arena.size() < std::numeric_limits<std::uint32_t>::max(),
+               "backpointer arena reached 2^32-1 records; set "
+               "arenaGcWatermark to bound it");
+    arena.push_back(BackPtr{linkOf(prev_bp), word});
     tok->backpointer = std::int64_t(arena.size()) - 1;
     return true;
 }
@@ -241,7 +245,6 @@ ViterbiDecoder::streamFrameImpl(std::span<const float> frame,
             continue;
         }
         ++streamStats.tokensExpanded;
-        ++visits[tok.state];
 
         const ArcGroup group = view.group(tok.state);
         streamStats.graphBytesTouched += group.bytes;
@@ -381,9 +384,10 @@ ViterbiDecoder::backtrackInto(std::int64_t bp,
                               std::vector<wfst::WordId> &out) const
 {
     out.clear();
-    for (; bp >= 0; bp = arena[bp].prev)
-        if (arena[bp].word != wfst::kNoWord)
-            out.push_back(arena[bp].word);
+    for (std::uint32_t link = linkOf(bp); link != 0;
+         link = arena[link - 1].prev)
+        if (arena[link - 1].word != wfst::kNoWord)
+            out.push_back(arena[link - 1].word);
     std::reverse(out.begin(), out.end());
 }
 
@@ -407,27 +411,24 @@ ViterbiDecoder::maybeCollectArena()
     // share their tails, so the walk stops at the first marked
     // record.
     gcMark.assign(arena.size(), 0);
-    for (std::size_t t = 0; t < cur.size(); ++t) {
-        std::int64_t bp = cur.entry(t).backpointer;
-        while (bp >= 0 && !gcMark[std::size_t(bp)]) {
-            gcMark[std::size_t(bp)] = 1;
-            bp = arena[std::size_t(bp)].prev;
-        }
-    }
+    for (std::size_t t = 0; t < cur.size(); ++t)
+        for (std::uint32_t link = linkOf(cur.entry(t).backpointer);
+             link != 0 && !gcMark[link - 1];
+             link = arena[link - 1].prev)
+            gcMark[link - 1] = 1;
 
     // Compact in place.  prev links always point at older records,
-    // so one forward pass remaps them as it goes.
-    gcRemap.assign(arena.size(), -1);
-    std::size_t out = 0;
+    // so one forward pass remaps them as it goes; the map is indexed
+    // by link, and link 0 (chain start) maps to itself.
+    gcRemap.assign(arena.size() + 1, 0);
+    std::uint32_t out = 0;
     for (std::size_t i = 0; i < arena.size(); ++i) {
         if (!gcMark[i])
             continue;
         BackPtr rec = arena[i];
-        if (rec.prev >= 0)
-            rec.prev = gcRemap[std::size_t(rec.prev)];
-        gcRemap[i] = std::int64_t(out);
+        rec.prev = gcRemap[rec.prev];
         arena[out] = rec;
-        ++out;
+        gcRemap[i + 1] = ++out;
     }
     streamStats.arenaEntriesReclaimed += arena.size() - out;
     arena.resize(out);
@@ -435,19 +436,13 @@ ViterbiDecoder::maybeCollectArena()
     // Point the live tokens at the compacted records.
     for (std::size_t t = 0; t < cur.size(); ++t) {
         Token &tok = cur.entryMutable(t);
-        if (tok.backpointer >= 0)
-            tok.backpointer = gcRemap[std::size_t(tok.backpointer)];
+        tok.backpointer =
+            std::int64_t(gcRemap[linkOf(tok.backpointer)]) - 1;
     }
 
     arenaLiveAfterGc = out;
     partialCacheBp = kPartialCacheInvalid;  // indices moved
     ++streamStats.arenaGcRuns;
-}
-
-void
-ViterbiDecoder::clearVisitCounts()
-{
-    std::fill(visits.begin(), visits.end(), 0);
 }
 
 } // namespace asr::decoder

@@ -20,8 +20,9 @@
  * token sets live in epoch-tagged flat hashes (token_store.hh), the
  * pruning threshold comes from a running best maintained inside
  * relax, doomed backpointer appends are skipped, the append-only
- * backpointer arena is mark-compact collected at a configurable
- * watermark so streaming sessions run in bounded memory, and a
+ * arena of 8-byte backpointer records is mark-compact collected at
+ * a configurable watermark so streaming sessions run in bounded
+ * memory, and a
  * steady-state frame performs zero heap allocations.  Results are
  * bit-identical to decoder::BaselineViterbiDecoder (the frozen
  * general-container baseline, baseline.hh) and to the accelerator's
@@ -86,19 +87,6 @@ class ViterbiDecoder
     /** Close the utterance: epsilon-close, pick best, backtrack. */
     DecodeResult streamFinish();
 
-    /**
-     * Number of times each state was expanded (passed the beam)
-     * across all decodes so far; drives the Figure-7 dynamic CDF.
-     */
-    const std::vector<std::uint64_t> &
-    stateVisitCounts() const
-    {
-        return visits;
-    }
-
-    /** Reset the visit counters. */
-    void clearVisitCounts();
-
     /** Active (post-insertion) token count of each decoded frame. */
     const std::vector<std::uint32_t> &
     activeTokensPerFrame() const
@@ -114,13 +102,24 @@ class ViterbiDecoder
     /** High-water arena size of the current/last utterance. */
     std::size_t arenaPeakEntries() const { return arenaPeak; }
 
+    /** Bytes per backpointer record (accel::kTokenRecordBytes). */
+    static constexpr std::size_t kArenaRecordBytes = 8;
+
   private:
-    /** Backtracking record (mirrors the accelerator's DRAM trace). */
+    /**
+     * Backtracking record: the accelerator's 8-byte DRAM trace record
+     * (accel::kTokenRecordBytes).  prev links the predecessor as
+     * arena index + 1; link 0 ends the chain.
+     */
     struct BackPtr
     {
-        std::int64_t prev;
+        std::uint32_t prev;
         wfst::WordId word;
     };
+    static_assert(sizeof(BackPtr) == kArenaRecordBytes);
+
+    /** Token backpointer (arena index, -1 = none) -> record link. */
+    static std::uint32_t linkOf(std::int64_t bp) { return std::uint32_t(bp + 1); }
 
     /**
      * Insert/improve a token via the store and record its
@@ -166,8 +165,7 @@ class ViterbiDecoder
     std::size_t arenaPeak = 0;
     std::size_t arenaLiveAfterGc = 0;
     std::vector<std::uint8_t> gcMark;       //!< reused mark bitmap
-    std::vector<std::int64_t> gcRemap;      //!< reused old->new map
-    std::vector<std::uint64_t> visits;
+    std::vector<std::uint32_t> gcRemap;     //!< reused old->new link map
     std::vector<std::uint32_t> activeHistory;
     std::vector<wfst::ArcEntry> arcScratch;  //!< compact decode buffer
     mutable std::vector<wfst::LogProb> cutoffScratch;

@@ -5,8 +5,8 @@
  * the backpointer-arena garbage collector (bit-identity under load,
  * bounded streaming memory), the skip-doomed-appends optimization,
  * the cached streamPartial, and a property sweep pinning the
- * optimized decoder to the frozen baseline, the brute-force
- * reference and the accelerator model.
+ * optimized decoder to the frozen baseline and the accelerator
+ * model.
  */
 
 #include <cstdint>
@@ -19,13 +19,13 @@
 #include "acoustic/scorer.hh"
 #include "common/logging.hh"
 #include "decoder/baseline.hh"
-#include "decoder/reference.hh"
 #include "decoder/token_store.hh"
 #include "decoder/viterbi.hh"
-#include "wfst/generate.hh"
+#include "token_store_support.hh"
 
 using namespace asr;
 using namespace asr::decoder;
+using namespace asr::test_support;
 
 namespace {
 
@@ -37,28 +37,6 @@ class QuietEnv : public ::testing::Environment
 
 [[maybe_unused]] const auto *env =
     ::testing::AddGlobalTestEnvironment(new QuietEnv);
-
-wfst::Wfst
-netFor(std::uint64_t seed, wfst::StateId states = 400)
-{
-    wfst::GeneratorConfig gcfg;
-    gcfg.numStates = states;
-    gcfg.numPhonemes = 32;
-    gcfg.numWords = 60;
-    gcfg.forwardEpsilonOnly = (seed % 2) == 0;
-    gcfg.epsilonFraction = (seed % 3) == 0 ? 0.25 : 0.115;
-    gcfg.seed = seed;
-    return wfst::generateWfst(gcfg);
-}
-
-acoustic::AcousticLikelihoods
-scoresFor(std::uint64_t seed, std::size_t frames = 18)
-{
-    acoustic::SyntheticScorerConfig scfg;
-    scfg.numPhonemes = 32;
-    scfg.seed = seed * 11 + 3;
-    return acoustic::SyntheticScorer(scfg).generate(frames);
-}
 
 void
 expectSameDecode(const DecodeResult &a, const DecodeResult &b,
@@ -368,21 +346,10 @@ TEST(SkipDoomedAppends, FinalWeightDecodesKeepEveryAppend)
     }
 }
 
-// ---- Property sweep: optimized == baseline == reference == accel --
-
-struct SweepCase
-{
-    std::uint64_t seed;
-    float beam;
-    std::uint32_t maxActive;
-};
-
-void
-PrintTo(const SweepCase &c, std::ostream *os)
-{
-    *os << "seed=" << c.seed << " beam=" << c.beam
-        << " maxActive=" << c.maxActive;
-}
+// ---- Property sweep: optimized == baseline == accel ----
+//
+// The full-DP reference applies only to the grid's unpruned corner;
+// that comparison lives in token_store_reference_test.cc.
 
 class TokenStoreSweep : public ::testing::TestWithParam<SweepCase>
 {
@@ -433,26 +400,6 @@ TEST_P(TokenStoreSweep, MatchesAccelModel)
     EXPECT_EQ(hw.words, sw.words);
     EXPECT_NEAR(hw.score, sw.score, 1e-3f);
     EXPECT_EQ(hw.bestState, sw.bestState);
-}
-
-TEST_P(TokenStoreSweep, WideBeamMatchesFullViterbiReference)
-{
-    // The brute-force DP reference has no beam; compare at an
-    // effectively infinite beam where pruning never fires.
-    const SweepCase &c = GetParam();
-    if (c.beam < 1e8f || c.maxActive != 0)
-        GTEST_SKIP() << "reference comparison needs no pruning";
-
-    const wfst::Wfst net = netFor(c.seed);
-    const auto scores = scoresFor(c.seed);
-
-    DecoderConfig cfg;
-    cfg.beam = c.beam;
-    ViterbiDecoder opt(net, cfg);
-    const auto r = opt.decode(scores);
-    const auto ref = fullViterbiReference(net, scores);
-    EXPECT_EQ(r.words, ref.words);
-    EXPECT_NEAR(r.score, ref.score, 1e-3f);
 }
 
 namespace {
