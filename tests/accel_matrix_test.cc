@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "accel/accelerator.hh"
 #include "acoustic/scorer.hh"
 #include "decoder/viterbi.hh"
@@ -26,10 +29,21 @@ struct MatrixCase
     bool prefetch;
     bool bandwidth;
     bool ideal_hash;
+    /**
+     * Fills the byte that would otherwise be padding. GoogleTest
+     * prints a parameter without a printer as its raw bytes, and
+     * those bytes become the discovered ctest names, so uninitialised
+     * padding gave the rows a different name on every listing. Each
+     * row's value is fixed to keep the names it was first recorded
+     * under; the test itself never reads it.
+     */
+    std::uint8_t name_tag;
     unsigned cache_div;   //!< scale Table-I caches down by this
     unsigned fifo_depth;
     std::uint32_t max_active;
 };
+static_assert(std::has_unique_object_representations_v<MatrixCase>,
+              "every byte of MatrixCase must be a set field");
 
 struct SharedWorkload
 {
@@ -146,21 +160,21 @@ TEST_P(AccelConfigMatrix, DecodesLikeReferenceWithSaneTiming)
 INSTANTIATE_TEST_SUITE_P(
     Grid, AccelConfigMatrix,
     ::testing::Values(
-        MatrixCase{false, false, false, 1, 64, 0},
-        MatrixCase{false, false, false, 8, 64, 0},
-        MatrixCase{true, false, false, 1, 64, 0},
-        MatrixCase{true, false, false, 8, 16, 0},
-        MatrixCase{false, true, false, 1, 64, 0},
-        MatrixCase{false, true, false, 8, 64, 0},
-        MatrixCase{true, true, false, 1, 64, 0},
-        MatrixCase{true, true, false, 8, 64, 0},
-        MatrixCase{false, false, true, 4, 64, 0},
-        MatrixCase{true, true, true, 4, 64, 0},
-        MatrixCase{true, true, false, 2, 128, 0},
-        MatrixCase{false, false, false, 2, 64, 800},
-        MatrixCase{true, false, false, 2, 64, 800},
-        MatrixCase{false, true, false, 2, 64, 800},
-        MatrixCase{true, true, true, 2, 64, 800}));
+        MatrixCase{false, false, false, 0, 1, 64, 0},
+        MatrixCase{false, false, false, 0, 8, 64, 0},
+        MatrixCase{true, false, false, 0, 1, 64, 0},
+        MatrixCase{true, false, false, 0, 8, 16, 0},
+        MatrixCase{false, true, false, 0x74, 1, 64, 0},
+        MatrixCase{false, true, false, 0x63, 8, 64, 0},
+        MatrixCase{true, true, false, 0, 1, 64, 0},
+        MatrixCase{true, true, false, 0, 8, 64, 0},
+        MatrixCase{false, false, true, 0x1B, 4, 64, 0},
+        MatrixCase{true, true, true, 0, 4, 64, 0},
+        MatrixCase{true, true, false, 0, 2, 128, 0},
+        MatrixCase{false, false, false, 0, 2, 64, 800},
+        MatrixCase{true, false, false, 0x1B, 2, 64, 800},
+        MatrixCase{false, true, false, 0, 2, 64, 800},
+        MatrixCase{true, true, true, 0, 2, 64, 800}));
 
 namespace {
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "wfst/generate.hh"
 #include "wfst/stats.hh"
 
@@ -157,8 +160,19 @@ TEST(Generator, InitialStateHasFanout)
 struct GenCase
 {
     StateId states;
+    /**
+     * Fills the four bytes that would otherwise be padding. GoogleTest
+     * prints a parameter without a printer as its raw bytes, and those
+     * bytes become the discovered ctest names, so uninitialised padding
+     * gave the cases a different name on every listing. Each case's
+     * value is fixed to keep the names it was first recorded under;
+     * the test itself never reads it.
+     */
+    std::uint32_t name_tag;
     std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<GenCase>,
+              "every byte of GenCase must be a set field");
 
 class GeneratorSweep : public ::testing::TestWithParam<GenCase>
 {
@@ -179,9 +193,9 @@ TEST_P(GeneratorSweep, ShapeInvariants)
 }
 
 INSTANTIATE_TEST_SUITE_P(Scales, GeneratorSweep,
-                         ::testing::Values(GenCase{100, 1},
-                                           GenCase{1000, 2},
-                                           GenCase{1000, 3},
-                                           GenCase{10000, 4},
-                                           GenCase{10000, 5},
-                                           GenCase{100000, 6}));
+                         ::testing::Values(GenCase{100, 0, 1},
+                                           GenCase{1000, 0, 2},
+                                           GenCase{1000, 0x00091E03, 3},
+                                           GenCase{10000, 0xCAD00000, 4},
+                                           GenCase{10000, 0, 5},
+                                           GenCase{100000, 0, 6}));
