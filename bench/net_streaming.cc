@@ -221,7 +221,6 @@ runConfig(const pipeline::AsrModel &model,
     api::EngineOptions eopts;
     eopts.numThreads = std::max(
         2u, std::thread::hardware_concurrency() / 2);
-    eopts.batchScoring = true;
     api::Engine engine(model, eopts);
     net::Server server(engine);
 

@@ -1,36 +1,31 @@
 /**
  * @file
  * Throughput scaling of the concurrent decode engine: a sessions x
- * worker-threads sweep over one shared AsrModel, reporting
+ * engine-threads sweep over one shared AsrModel, reporting
  * utterances/sec, aggregate RTF, p50/p99 session latency and the
- * speedup over the single-threaded run.
+ * speedup over the 1-thread engine.
  *
  * This is the serving-side metric the paper's single-utterance
  * figures do not cover: a deployment is judged by how many parallel
  * utterances one model instance sustains (cf. the DAWN ASR baseline
  * harness, which ranks engines by real-time factor over a 50-sample
- * corpus).  Every utterance is decoded bit-identically to a
- * sequential run -- the bench verifies that on the fly -- so the
+ * corpus).  Every utterance is decoded bit-identically to the 1-thread
+ * reference run -- the bench verifies that on the fly -- so the
  * sweep measures pure scheduling/parallelism effects.
  *
- * Each thread count runs twice: per-session scoring (every worker
- * scores its own frames one at a time) and cross-session batch
- * scoring (SchedulerConfig::batchScoring: one coalesced DNN forward
- * per tick across all active sessions).  Batching pays off even on a
- * single core because the GEMM amortizes per-frame dispatch and
- * weight traffic across sessions -- the paper's Sec. II insight --
- * and the results stay bit-identical either way, which the bench
- * asserts.
- *
- * Thread *scaling* still requires hardware threads: on an N-core
- * host the speedup saturates near min(threads, N).
+ * The engine coalesces the pending frames of every active session
+ * into one DNN forward per tick, so the GEMM amortizes per-frame
+ * dispatch and weight traffic across sessions -- the paper's Sec. II
+ * insight -- and more threads split each tick's stages and GEMM.
+ * Thread *scaling* requires hardware threads: on an N-core host the
+ * speedup saturates near min(threads, N).
  *
  * A final live-stream-clients mode drives the same corpus through
  * api::Engine's handle API instead of submit(): concurrent streams
- * push 10 ms chunks round-robin into the batched engine (their
- * frames join the cross-session GEMM) and the sweep reports the
- * live-serving metric the one-shot rows cannot: time-to-first-
- * partial percentiles.
+ * push 10 ms chunks round-robin into the engine (their frames join
+ * the cross-session GEMM) and the sweep reports the live-serving
+ * metric the one-shot rows cannot: time-to-first-partial
+ * percentiles.
  *
  * Emits machine-readable results to BENCH_throughput_scaling.json.
  * usage:
@@ -52,7 +47,6 @@
 #include "common/rng.hh"
 #include "common/table.hh"
 #include "pipeline/model.hh"
-#include "server/scheduler.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -116,32 +110,30 @@ buildCorpus(const pipeline::AsrModel &model, unsigned count)
 struct SweepPoint
 {
     unsigned threads;
-    bool batched;
     server::EngineSnapshot snap;
     double wallSeconds;
 };
 
 /**
- * Decode the corpus through one engine configuration; verifies (or
+ * Decode the corpus through a @p threads-thread engine; verifies (or
  * records, when @p ref_words is empty) per-utterance bit-identity.
  */
 SweepPoint
 runSweep(const pipeline::AsrModel &model,
          const std::vector<frontend::AudioSignal> &corpus,
-         unsigned threads, bool batched,
+         unsigned threads,
          std::vector<std::vector<wfst::WordId>> &ref_words,
          std::vector<wfst::LogProb> &ref_scores)
 {
-    server::SchedulerConfig cfg;
-    cfg.numThreads = threads;
-    cfg.baseSeed = 7;
-    cfg.batchScoring = batched;
+    api::EngineOptions opts;
+    opts.numThreads = threads;
+    opts.baseSeed = 7;
     // Eight sessions in flight: enough to amortize one weight pass
     // across the coalesced batch (8 sessions x chunksPerTick frames
     // per tick) while keeping the per-session search state within
     // reach of the cache.
-    cfg.maxBatchSessions = 8;
-    server::DecodeScheduler engine(model, cfg);
+    opts.maxBatchSessions = 8;
+    api::Engine engine(model, opts);
 
     const auto t0 = std::chrono::steady_clock::now();
     std::vector<std::future<pipeline::RecognitionResult>> futures;
@@ -158,8 +150,7 @@ runSweep(const pipeline::AsrModel &model,
                             .count();
 
     // Per-utterance results must be bit-identical across thread
-    // counts AND scoring modes (the float backends' row-wise
-    // contract).
+    // counts (the backends' row-independence contract).
     if (ref_words.empty()) {
         for (const auto &r : results) {
             ref_words.push_back(r.words);
@@ -169,15 +160,13 @@ runSweep(const pipeline::AsrModel &model,
         for (std::size_t u = 0; u < results.size(); ++u) {
             if (results[u].words != ref_words[u] ||
                 results[u].score != ref_scores[u])
-                fatal("%s run with %u threads changed utterance %zu",
-                      batched ? "batched" : "per-session", threads,
+                fatal("%u-thread run changed utterance %zu", threads,
                       u);
         }
     }
 
     SweepPoint p;
     p.threads = threads;
-    p.batched = batched;
     p.snap = engine.stats();
     p.snap.wallSeconds = wall;  // exclude model setup
     p.wallSeconds = wall;
@@ -185,9 +174,9 @@ runSweep(const pipeline::AsrModel &model,
 }
 
 /**
- * Live-stream-clients mode: @p num_streams concurrent handles over a
- * batched api::Engine, pushed round-robin in 10 ms chunks, verified
- * against the one-shot reference bits.
+ * Live-stream-clients mode: @p num_streams concurrent handles over an
+ * api::Engine, pushed round-robin in 10 ms chunks, verified against
+ * the one-shot reference bits.
  */
 server::EngineSnapshot
 runLiveClients(const pipeline::AsrModel &model,
@@ -200,7 +189,6 @@ runLiveClients(const pipeline::AsrModel &model,
     api::EngineOptions opts;
     opts.numThreads = threads;
     opts.baseSeed = 7;
-    opts.batchScoring = true;
     opts.maxBatchSessions = 8;
     api::Engine engine(model, opts);
 
@@ -296,44 +284,36 @@ main(int argc, char **argv)
         const std::vector<frontend::AudioSignal> sample(
             corpus.begin(),
             corpus.begin() + std::min<std::size_t>(4, corpus.size()));
-        runSweep(model, sample, 1, false, w, s);
+        runSweep(model, sample, 1, w, s);
     }
 
-    // Shared reference results: every sweep point (any thread count,
-    // either scoring mode) must reproduce them bit-exactly.
+    // Reference results: the first sweep point, the 1-thread engine,
+    // records them; every other thread count must reproduce them
+    // bit-exactly.
     std::vector<std::vector<wfst::WordId>> ref_words;
     std::vector<wfst::LogProb> ref_scores;
 
     std::vector<SweepPoint> points;
     for (unsigned threads = 1; threads <= max_threads; threads *= 2) {
-        for (const bool batched : {false, true}) {
-            const SweepPoint p =
-                runSweep(model, corpus, threads, batched, ref_words,
-                         ref_scores);
-            std::printf("  %2u thread%s %-12s: %6.2f utt/s  "
-                        "(%.2fs wall%s)\n",
-                        threads, threads == 1 ? " " : "s",
-                        batched ? "batched" : "per-session",
-                        double(utterances) / p.wallSeconds,
-                        p.wallSeconds,
-                        batched ? ", cross-session GEMM" : "");
-            points.push_back(p);
-        }
+        const SweepPoint p =
+            runSweep(model, corpus, threads, ref_words, ref_scores);
+        std::printf("  %2u thread%s: %6.2f utt/s  (%.2fs wall)\n",
+                    threads, threads == 1 ? " " : "s",
+                    double(utterances) / p.wallSeconds, p.wallSeconds);
+        points.push_back(p);
     }
 
-    std::printf("\nall thread counts and scoring modes produced "
-                "bit-identical per-utterance results\n\n");
+    std::printf("\nall thread counts produced bit-identical "
+                "per-utterance results\n\n");
 
     bench::JsonReport report("throughput_scaling");
-    Table table({"threads", "scoring", "utt/s", "speedup", "agg RTF",
-                 "RTF p99", "lat p50 ms", "lat p99 ms",
-                 "mean batch"});
+    Table table({"threads", "utt/s", "speedup", "agg RTF", "RTF p99",
+                 "lat p50 ms", "lat p99 ms", "mean batch"});
     const double base = points[0].snap.utterancesPerSecond();
     for (const auto &p : points) {
         const double ups = p.snap.utterancesPerSecond();
         table.row()
             .add(int(p.threads))
-            .add(p.batched ? "batched" : "per-session")
             .add(ups, 2)
             .addRatio(base > 0.0 ? ups / base : 0.0, 2)
             .add(p.snap.aggregateRtf(), 3)
@@ -343,11 +323,10 @@ main(int argc, char **argv)
             .add(p.snap.dnnMeanBatchRows(), 1);
         report.beginRow();
         report.add("threads", int(p.threads));
-        report.add("scoring",
-                   std::string(p.batched ? "batched"
-                                         : "per-session"));
+        report.add("scoring", std::string("batched"));
         report.add("utterances", std::uint64_t(utterances));
         report.add("utt_per_sec", ups);
+        report.add("speedup_vs_1_thread", base > 0.0 ? ups / base : 0.0);
         report.add("wall_seconds", p.wallSeconds);
         report.add("aggregate_rtf", p.snap.aggregateRtf());
         report.add("latency_p99_ms", p.snap.latencyP99Ms);
@@ -356,30 +335,24 @@ main(int argc, char **argv)
     }
     table.print();
 
-    // The cross-session-batching verdict: compare the two modes at
-    // each thread count (the batch coordinator keeps 8 sessions in
-    // flight whenever the corpus allows it).
-    std::printf("\ncross-session batching vs per-session scoring "
-                "(%u concurrent sessions):\n",
+    // The scaling verdict: each thread count against the 1-thread
+    // engine (the coordinator keeps 8 sessions in flight whenever the
+    // corpus allows it).
+    std::printf("\nscaling over the 1-thread engine (%u concurrent "
+                "sessions):\n",
                 std::min(utterances, 8u));
-    for (std::size_t i = 0; i + 1 < points.size(); i += 2) {
-        const double plain = points[i].snap.utterancesPerSecond();
-        const double batched =
-            points[i + 1].snap.utterancesPerSecond();
-        std::printf("  %2u thread%s: %.2fx  (%s)\n",
-                    points[i].threads,
-                    points[i].threads == 1 ? " " : "s",
-                    plain > 0.0 ? batched / plain : 0.0,
-                    batched >= plain ? "batched wins"
-                                     : "per-session wins");
+    for (std::size_t i = 1; i < points.size(); ++i) {
+        const double ups = points[i].snap.utterancesPerSecond();
+        std::printf("  %2u threads vs 1: %.2fx\n", points[i].threads,
+                    base > 0.0 ? ups / base : 0.0);
     }
-    // Live-stream clients into the batched engine: the same corpus,
+    // Live-stream clients: the same corpus,
     // pushed through the handle API 10 ms at a time, reporting the
     // live-serving metric the one-shot rows cannot -- time to first
     // partial.
     const unsigned live_streams = std::min(8u, utterances);
-    std::printf("\nlive-stream clients (%u concurrent streams, "
-                "batched engine):\n", live_streams);
+    std::printf("\nlive-stream clients (%u concurrent streams):\n",
+                live_streams);
     for (unsigned threads = 1; threads <= max_threads; threads *= 2) {
         double wall = 0.0;
         const server::EngineSnapshot snap =

@@ -3,24 +3,21 @@
  * Concurrent serving demo: one shared acoustic model + WFST, many
  * simultaneous decode sessions, all through the unified api::Engine.
  *
- * Five views of the same engine:
+ * Four views of the same engine:
  *
  *  1. A single live stream fed 10 ms chunks through the handle API
  *     (open / push / finish), partial hypotheses arriving via the
  *     onPartial callback while the "speaker" is mid-utterance.
- *  2. A burst of one-shot utterances through the worker pool
- *     (submit), showing the engine-level aggregate stats
- *     (utterances/sec, RTF distribution, p50/p99 latency) a
- *     production deployment is judged by.
- *  3. The same burst with cross-session batched DNN scoring
- *     (EngineOptions::batchScoring): pending frames from all active
- *     sessions are coalesced into one GEMM per tick -- bit-identical
- *     results, engine stats now showing the batch sizes.
- *  4. Live streaming clients *into* the batch engine: several
- *     concurrent handles pushing in real-world-sized chunks, their
- *     frames joining the same cross-session batches, with
- *     time-to-first-partial percentiles in the stats.
- *  5. An always-on stream (StreamOptions::autoEndpoint): one endless
+ *  2. A burst of one-shot utterances (submit): pending frames from
+ *     all active sessions are coalesced into one GEMM per tick, and
+ *     the engine-level aggregate stats show what a production
+ *     deployment is judged by (utterances/sec, RTF distribution,
+ *     p50/p99 latency, batch sizes).
+ *  3. Live streaming clients: several concurrent handles pushing in
+ *     real-world-sized chunks, their frames joining the same
+ *     cross-session batches, with time-to-first-partial percentiles
+ *     in the stats -- bit-identical to the one-shot burst.
+ *  4. An always-on stream (StreamOptions::autoEndpoint): one endless
  *     microphone feed of speech bursts separated by silence; the
  *     built-in VAD/endpointer closes each utterance after trailing
  *     silence and delivers it through onSegment, bit-identical to
@@ -146,8 +143,9 @@ main(int argc, char **argv)
     std::printf("  (score %.2f, RTF %.3f)\n\n", live_result.score,
                 live_result.realTimeFactor());
 
-    // ---- 2. a burst of one-shot utterances through the pool ----
-    std::printf("burst: %u utterances through %u worker thread%s\n",
+    // ---- 2. a burst of one-shot utterances, batched per tick ----
+    std::printf("burst: %u utterances through %u engine thread%s, "
+                "frames from all sessions coalesced per tick\n",
                 num_utterances, num_threads,
                 num_threads == 1 ? "" : "s");
     api::Engine engine(model, opts);
@@ -167,45 +165,21 @@ main(int argc, char **argv)
 
     std::printf("\nengine stats:\n%s", engine.stats().render().c_str());
 
-    // ---- 3. the same burst, cross-session batched DNN scoring ----
-    std::printf("\nbatched burst: same %u utterances, frames from "
-                "all sessions coalesced per tick\n",
-                num_utterances);
-    api::EngineOptions bopts = opts;
-    bopts.batchScoring = true;
-    api::Engine batched(model, bopts);
-
-    std::vector<std::future<pipeline::RecognitionResult>> bfutures;
-    for (unsigned u = 0; u < num_utterances; ++u)
-        bfutures.push_back(batched.submit(speak(model, 1 + u)));
-
-    bool identical = true;
-    for (unsigned u = 0; u < num_utterances; ++u) {
-        const auto r = bfutures[u].get();
-        identical = identical &&
-                    r.words == burst_results[u].words &&
-                    r.score == burst_results[u].score;
-    }
-    std::printf("results bit-identical to the per-session burst: "
-                "%s\n", identical ? "yes" : "NO");
-    if (!identical)
-        fatal("batched scoring diverged from per-session results");
-
-    // ---- 4. live streaming clients INTO the batch engine ----
+    // ---- 3. concurrent live streaming clients ----
     const unsigned num_live =
         std::min(num_utterances, std::max(2u, num_threads));
-    std::printf("\nlive-into-batch: %u concurrent live streams, "
-                "chunks interleaved, frames joining the "
-                "cross-session GEMM\n",
+    std::printf("\nlive clients: %u concurrent live streams, chunks "
+                "interleaved, frames joining the cross-session "
+                "GEMM\n",
                 num_live);
     // A fresh engine so the streams get session ids 0..num_live-1,
     // matching the burst results they are compared against.
-    api::Engine liveBatched(model, bopts);
+    api::Engine liveClients(model, opts);
     std::vector<frontend::AudioSignal> voices;
     std::vector<api::StreamHandle> handles;
     for (unsigned u = 0; u < num_live; ++u) {
         voices.push_back(speak(model, 1 + u));
-        handles.push_back(liveBatched.open());
+        handles.push_back(liveClients.open());
     }
     std::size_t longest = 0;
     for (const auto &v : voices)
@@ -219,13 +193,13 @@ main(int argc, char **argv)
                 continue;
             const std::size_t len =
                 std::min<std::size_t>(160, s.size() - base);
-            liveBatched.push(handles[u], std::span<const float>(
+            liveClients.push(handles[u], std::span<const float>(
                                              s.data() + base, len));
         }
     }
     std::vector<std::future<pipeline::RecognitionResult>> lfutures;
     for (unsigned u = 0; u < num_live; ++u)
-        lfutures.push_back(liveBatched.finish(handles[u]));
+        lfutures.push_back(liveClients.finish(handles[u]));
     bool live_identical = true;
     for (unsigned u = 0; u < num_live; ++u) {
         const auto r = lfutures[u].get();
@@ -236,8 +210,8 @@ main(int argc, char **argv)
     std::printf("live-stream results bit-identical to the bursts: "
                 "%s\n", live_identical ? "yes" : "NO");
 
-    const auto snap = liveBatched.stats();
-    std::printf("\nlive-into-batch engine stats:\n%s",
+    const auto snap = liveClients.stats();
+    std::printf("\nlive-client engine stats:\n%s",
                 snap.render().c_str());
     if (!live_identical)
         fatal("live streaming diverged from one-shot results");
@@ -245,7 +219,7 @@ main(int argc, char **argv)
         fatal("live streams did not coalesce into cross-session "
               "batches (mean %.2f rows)", snap.dnnMeanBatchRows());
 
-    // ---- 5. always-on: one endless stream, VAD auto-endpointing ----
+    // ---- 4. always-on: one endless stream, VAD auto-endpointing ----
     //
     // Two utterances on one stream, separated by silence nobody has
     // to segment by hand: the endpointer opens a segment when speech

@@ -136,24 +136,6 @@ class ReferenceBackend final : public Backend
         return net.forward(input);
     }
 
-    void
-    scoreFrame(std::span<const float> spliced, std::span<float> out,
-               FrameScratch &) const override
-    {
-        ASR_ASSERT(spliced.size() == inputDim() &&
-                       out.size() == outputDim(),
-                   "scoreFrame dim mismatch");
-        // One-row batch through the exact batch path: the reference
-        // backend is the baseline other backends are measured
-        // against, so it keeps the naive per-frame allocations.
-        Matrix row(1, spliced.size());
-        std::copy(spliced.begin(), spliced.end(),
-                  row.row(0).begin());
-        const Matrix logp = net.forward(row);
-        std::copy(logp.row(0).begin(), logp.row(0).end(),
-                  out.begin());
-    }
-
     std::uint64_t macsPerFrame() const override { return macs; }
     std::uint64_t
     weightBytesPerFrame() const override
@@ -461,46 +443,6 @@ class PackedFloatBackend : public Backend
         return cur;
     }
 
-    void
-    scoreFrame(std::span<const float> spliced, std::span<float> out,
-               FrameScratch &scratch) const override
-    {
-        ASR_ASSERT(spliced.size() == inputDim() &&
-                       out.size() == outputDim(),
-                   "scoreFrame dim mismatch");
-        const float *x = spliced.data();
-        std::size_t xn = spliced.size();
-        for (std::size_t l = 0; l < layers.size(); ++l) {
-            const PackedLayer &layer = layers[l];
-            const bool last = l + 1 == layers.size();
-            float *y;
-            if (last) {
-                y = out.data();
-            } else {
-                std::vector<float> &buf =
-                    (l % 2 == 0) ? scratch.a : scratch.b;
-                if (buf.size() < layer.out)
-                    buf.resize(layer.out);
-                y = buf.data();
-            }
-            ASR_ASSERT(xn == layer.in, "layer dim mismatch");
-            for (std::size_t tile = 0; tile < layer.tiles; ++tile) {
-                const float *panel =
-                    layer.packed.data() + tile * layer.in * kTile;
-                const std::size_t j0 = tile * kTile;
-                kernel(x, layer.in, panel, layer.bias.data(), j0,
-                       std::min(kTile, layer.out - j0), y, layer.out,
-                       0, 1);
-            }
-            if (!last)
-                for (std::size_t j = 0; j < layer.out; ++j)
-                    y[j] = std::max(y[j], 0.0f);
-            x = y;
-            xn = layer.out;
-        }
-        logSoftmaxRow(out);
-    }
-
     std::string_view
     isa() const override
     {
@@ -731,6 +673,14 @@ packAvx2Panels(const QuantLayer &layer)
     return out;
 }
 
+/** Per-row activation buffers, reused across one batch's rows. */
+struct RowScratch
+{
+    std::vector<float> a;           //!< ping activation buffer
+    std::vector<float> b;           //!< pong activation buffer
+    std::vector<std::int8_t> q;     //!< quantized activations
+};
+
 /**
  * Shared implementation of the int8 backends; the concrete classes
  * supply the per-tile accumulation kernel.  Quantization, dequant and
@@ -748,20 +698,10 @@ class Int8BackendBase : public Backend
                    "backend input dim %zu != %zu", input.cols(),
                    inputDim());
         Matrix out(input.rows(), outputDim());
-        FrameScratch scratch;
+        RowScratch scratch;
         for (std::size_t r = 0; r < input.rows(); ++r)
             scoreRow(input.row(r), out.row(r), scratch);
         return out;
-    }
-
-    void
-    scoreFrame(std::span<const float> spliced, std::span<float> out,
-               FrameScratch &scratch) const override
-    {
-        ASR_ASSERT(spliced.size() == inputDim() &&
-                       out.size() == outputDim(),
-                   "scoreFrame dim mismatch");
-        scoreRow(spliced, out, scratch);
     }
 
     std::uint64_t macsPerFrame() const override { return macs; }
@@ -795,14 +735,14 @@ class Int8BackendBase : public Backend
 
   private:
     /**
-     * Score one row.  Identical arithmetic whether called from the
-     * batch or the streaming entry point (quantization is per row),
-     * so the two paths agree bit-for-bit with each other -- just not
-     * with the float backends.
+     * Score one row.  Quantization is per row, so a row's scores do
+     * not depend on the rest of the batch -- the row-independence
+     * contract, bit for bit, though not bitwise against the float
+     * backends.
      */
     void
     scoreRow(std::span<const float> input, std::span<float> out,
-             FrameScratch &scratch) const
+             RowScratch &scratch) const
     {
         const float *x = input.data();
         std::size_t xn = input.size();

@@ -7,10 +7,9 @@
  * scores batch i while the accelerator searches batch i-1).  This
  * interface is the reproduction's seam for that: everything that
  * turns spliced MFCC rows into per-senone log-softmax scores goes
- * through an acoustic::Backend, with a batch entry point (the GEMM
- * path the server's cross-session BatchScorer drives) and a
- * streaming-frame entry point (one spliced row, zero steady-state
- * allocation, what a live session uses between batch ticks).
+ * through an acoustic::Backend's one entry point, scoreBatch: the
+ * GEMM path both the offline DnnScorer and the server's
+ * cross-session BatchScorer drive.
  *
  * Five implementations:
  *  - Reference:   the naive matmulTransposed path the DNN trains
@@ -49,16 +48,20 @@
  * exact float sequence of the reference kernel: a single f32
  * accumulator over k in ascending order (acoustic::matmulTransposed),
  * bias added after the full dot product, ReLU between hidden layers,
- * and normalization through acoustic::logSoftmaxRow.  Because each
- * output row depends only on its input row, scoreBatch over any
- * batch, scoreFrame on a single row, and any cross-session coalescing
- * of rows into one batch are all bit-identical -- this is what lets
- * the server batch frames from unrelated sessions without touching
- * PR 2's determinism contract.
+ * and normalization through acoustic::logSoftmaxRow.
  *
- * Thread safety: backends are immutable after construction; both
- * entry points are const and use caller-provided or local scratch, so
- * one backend instance serves any number of concurrent sessions.  A
+ * Row independence (every backend)
+ * --------------------------------
+ * Each output row depends only on its input row: scoring any subset
+ * of a batch's rows gives bit-for-bit the corresponding rows of the
+ * full batch, on every backend (the int8 ones quantize activations
+ * per row).  This is what lets the server batch frames from
+ * unrelated sessions -- and a one-utterance offline pass score the
+ * same frames -- without touching the determinism contract.
+ *
+ * Thread safety: backends are immutable after construction;
+ * scoreBatch is const and uses only local scratch, so one backend
+ * instance serves any number of concurrent sessions.  A
  * batch can also be split across threads: scoreBatch hands the
  * packed backends' per-layer GEMM work items to a caller-supplied
  * ParallelFor.  Each output element is written by exactly one item,
@@ -71,7 +74,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -136,18 +138,6 @@ const ParallelFor &serialFor();
 inline constexpr std::uint64_t kGemmSplitFloorMacs = std::uint64_t(1)
                                                      << 21;
 
-/**
- * Caller-owned scratch for the streaming-frame entry point.  A
- * session keeps one of these alive so per-frame scoring allocates
- * nothing in steady state; buffers grow to the largest layer once.
- */
-struct FrameScratch
-{
-    std::vector<float> a;           //!< ping activation buffer
-    std::vector<float> b;           //!< pong activation buffer
-    std::vector<std::int8_t> q;     //!< quantized activations (int8)
-};
-
 /** Abstract scorer over a trained Dnn's parameters. */
 class Backend
 {
@@ -173,9 +163,9 @@ class Backend
     std::size_t outputDim() const { return outDim; }
 
     /**
-     * Batch entry point: @p input is batch x inputDim spliced feature
-     * rows; returns batch x outputDim log-softmax scores.  Row r of
-     * the result depends only on row r of the input.  Each layer's
+     * Score @p input, batch x inputDim spliced feature rows; returns
+     * batch x outputDim log-softmax scores.  Row r of the result
+     * depends only on row r of the input.  Each layer's
      * GEMM work goes through @p par once it is large enough to be
      * worth a split (layers stay sequential); the result is
      * bit-identical to the serial overload's.
@@ -189,15 +179,6 @@ class Backend
     {
         return scoreBatch(input, serialFor());
     }
-
-    /**
-     * Streaming entry point: score one spliced frame into @p out
-     * (outputDim entries), reusing @p scratch across calls.
-     * Bit-identical to the corresponding row of scoreBatch.
-     */
-    virtual void scoreFrame(std::span<const float> spliced,
-                            std::span<float> out,
-                            FrameScratch &scratch) const = 0;
 
     /** Multiply-accumulates one frame costs (analytical models). */
     virtual std::uint64_t macsPerFrame() const = 0;

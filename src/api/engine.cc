@@ -19,6 +19,10 @@ namespace asr::api {
 std::string
 EngineOptions::validate() const
 {
+    if (!batchScoring)
+        return "EngineOptions::batchScoring = false: per-session mode "
+               "was removed; the batch coordinator is the only "
+               "execution path";
     const std::string_view name = effectiveSearchBackend();
     if (!search::isBackendRegistered(name))
         return search::unknownBackendMessage(name);
@@ -84,19 +88,14 @@ Engine::start()
                "backpressure bound must admit at least one chunk");
     ASR_ASSERT(opts.retiredHandleCap >= 1,
                "terminal-handle window must hold at least one handle");
-    workers.reserve(opts.numThreads);
-    if (opts.batchScoring) {
-        ASR_ASSERT(opts.maxBatchSessions >= 1,
-                   "batch mode needs at least one session slot");
-        batchScorer = std::make_unique<server::BatchScorer>(model_);
-        stageWorkerCount = opts.numThreads - 1;
-        coordinator = std::thread([this] { coordinatorLoop(); });
-        for (unsigned t = 1; t < opts.numThreads; ++t)
-            workers.emplace_back([this, t] { stageWorkerLoop(t); });
-    } else {
-        for (unsigned t = 0; t < opts.numThreads; ++t)
-            workers.emplace_back([this] { workerLoop(); });
-    }
+    ASR_ASSERT(opts.maxBatchSessions >= 1,
+               "the coordinator needs at least one session slot");
+    batchScorer = std::make_unique<server::BatchScorer>(model_);
+    stageWorkerCount = opts.numThreads - 1;
+    coordinator = std::thread([this] { coordinatorLoop(); });
+    workers.reserve(stageWorkerCount);
+    for (unsigned t = 1; t < opts.numThreads; ++t)
+        workers.emplace_back([this, t] { stageWorkerLoop(t); });
 }
 
 Engine::~Engine()
@@ -121,7 +120,6 @@ Engine::~Engine()
             ls->lifecycle = StreamState::Cancelled;
             ls->chunks.clear();
         }
-        ls->inputReady.notify_all();
         ls->spaceReady.notify_all();
     }
     {
@@ -196,11 +194,10 @@ Engine::open(const StreamOptions &options, OpenStatus &status)
 {
     StreamHandle h;
     status = OpenStatus::Ok;
-    // Always-on misconfiguration is recoverable, like capacity
-    // exhaustion below: reject with an invalid handle and a
-    // diagnostic instead of killing a long-running server.  Unlike
-    // capacity, it is *permanent* for these options -- retrying the
-    // same open() can never succeed -- which is what
+    // Always-on misconfiguration is recoverable: reject with an
+    // invalid handle and a diagnostic instead of killing a
+    // long-running server.  It is *permanent* for these options --
+    // retrying the same open() can never succeed -- which is what
     // OpenStatus::InvalidOptions tells an embedding server.
     if (options.autoEndpoint &&
         !vad::isDetectorRegistered(options.endpoint.detector)) {
@@ -216,54 +213,29 @@ Engine::open(const StreamOptions &options, OpenStatus &status)
         status = OpenStatus::InvalidOptions;
         return h;
     }
-    unsigned taken = 0;
-    bool diagnose = false;
     {
         std::lock_guard<std::mutex> lock(mu);
         ASR_ASSERT(!stopping, "open after shutdown began");
-        taken = liveOpen;
-        if (!opts.batchScoring && liveOpen >= opts.numThreads) {
-            h.value = 0;  // rejected; diagnosed below, off the lock
-            diagnose = !capacityWarned;
-            capacityWarned = true;
-        } else {
-            auto ls = std::make_shared<LiveStream>();
-            ls->options = options;
-            ls->opened = std::chrono::steady_clock::now();
-            h.value = nextHandle++;
-            ls->handle = h.value;
-            ls->sessionId = nextSessionId++;
-            streams.emplace(h.value, ls);
-            ++liveOpen;
-            if (options.deadlineMs > 0) {
-                deadlines.push(DeadlineEntry{
-                    ls->opened +
-                        std::chrono::milliseconds(options.deadlineMs),
-                    h.value});
-                if (!watchdog.joinable())
-                    watchdog =
-                        std::thread([this] { watchdogLoop(); });
-            }
-
-            Job job;
-            job.sessionId = ls->sessionId;
-            job.submitted = ls->opened;
-            job.live = std::move(ls);
-            queue.push_back(std::move(job));
+        auto ls = std::make_shared<LiveStream>();
+        ls->options = options;
+        ls->opened = std::chrono::steady_clock::now();
+        h.value = nextHandle++;
+        ls->handle = h.value;
+        ls->sessionId = nextSessionId++;
+        streams.emplace(h.value, ls);
+        if (options.deadlineMs > 0) {
+            deadlines.push(DeadlineEntry{
+                ls->opened + std::chrono::milliseconds(options.deadlineMs),
+                h.value});
+            if (!watchdog.joinable())
+                watchdog = std::thread([this] { watchdogLoop(); });
         }
-    }
-    if (h.value == 0) {
-        // Recoverable client-side condition, not process death: a
-        // long-running server embedding the engine must be able to
-        // shed the excess stream and carry on.
-        status = OpenStatus::Capacity;
-        if (diagnose)
-            warn("cannot open live stream %u: per-session mode "
-                 "dedicates one worker per stream and all %u are "
-                 "taken -- enable EngineOptions::batchScoring (any "
-                 "number of streams) or add threads",
-                 taken + 1, opts.numThreads);
-        return h;
+
+        Job job;
+        job.sessionId = ls->sessionId;
+        job.submitted = ls->opened;
+        job.live = std::move(ls);
+        queue.push_back(std::move(job));
     }
     if (options.degraded)
         stats_.recordDegradedStream();
@@ -313,19 +285,11 @@ Engine::pushFor(StreamHandle h, std::span<const float> samples,
             return PushResult::Rejected;
         ls->chunks.emplace_back(samples.begin(), samples.end());
     }
-    ls->inputReady.notify_one();
-    if (opts.batchScoring) {
-        // Only the batch coordinator parks on streamEvents; the
-        // dedicated per-session worker was already woken through the
-        // stream's own condvar, so a per-session push skips the
-        // event bump and the pool-wide wakeup (the handle lookup in
-        // findStream above still takes the engine lock briefly).
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            ++streamEvents;
-        }
-        workReady.notify_all();
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        ++streamEvents;
     }
+    workReady.notify_all();
     return PushResult::Ok;
 }
 
@@ -346,8 +310,9 @@ Engine::finish(StreamHandle h)
     if (!ls)
         return {};  // unknown/retired handle: invalid future
     // Count the result as outstanding *before* closed becomes
-    // observable: the moment a worker sees closed it may deliver and
-    // decrement, and drain() must never see that decrement first.
+    // observable: the moment the coordinator sees closed it may
+    // deliver and decrement, and drain() must never see that
+    // decrement first.
     {
         std::lock_guard<std::mutex> lock(mu);
         ++outstanding;
@@ -373,11 +338,10 @@ Engine::finish(StreamHandle h)
             queueIdle.notify_all();
         return {};
     }
-    ls->inputReady.notify_all();
     ls->spaceReady.notify_all();  // backpressured pushers must recheck
     // The streamEvents bump must come *after* closed is set (like
     // push()/cancel(), which mutate stream state before bumping):
-    // the batch coordinator samples the counter before reading
+    // the coordinator samples the counter before reading
     // stream state, so an event bumped before its state change can
     // be consumed by a tick that sees nothing, and the coordinator
     // would then park with no further wakeup coming.
@@ -403,7 +367,6 @@ Engine::cancel(StreamHandle h)
         ls->lifecycle = StreamState::Cancelled;
         ls->chunks.clear();
     }
-    ls->inputReady.notify_all();
     ls->spaceReady.notify_all();
     noteStreamTerminal(ls->handle);
     {
@@ -418,9 +381,6 @@ void
 Engine::noteStreamTerminal(std::uint64_t handle)
 {
     std::lock_guard<std::mutex> lock(mu);
-    ASR_ASSERT(liveOpen > 0, "terminal stream without an open one");
-    --liveOpen;
-    capacityWarned = false;  // a slot freed: rearm the diagnostic
     retiredHandles.push_back(handle);
     if (retiredHandles.size() <= opts.retiredHandleCap)
         return;
@@ -509,7 +469,7 @@ Engine::expireStream(std::uint64_t handle)
         std::lock_guard<std::mutex> lock(ls->mu);
         if (ls->lifecycle == StreamState::Open) {
             // Exactly cancel()'s transitions, plus the expiry mark:
-            // the decode worker abandons the session, pushes start
+            // the coordinator abandons the session, pushes start
             // rejecting, and the net layer can tell "deadline" from
             // "client cancelled".
             ls->deadlineExpired = true;
@@ -519,7 +479,7 @@ Engine::expireStream(std::uint64_t handle)
             expired_open = true;
         } else if (ls->lifecycle == StreamState::Finishing) {
             // Deliver the future *now* with an empty result; the
-            // worker still decoding the tail hits finishLive's
+            // coordinator still decoding the tail hits finishLive's
             // terminal guard and drops its late result.
             ls->deadlineExpired = true;
             ls->lifecycle = StreamState::Done;
@@ -529,7 +489,6 @@ Engine::expireStream(std::uint64_t handle)
     if (!expired_open && !expired_finishing)
         return;
     stats_.recordDeadlineExpired();
-    ls->inputReady.notify_all();
     ls->spaceReady.notify_all();
     noteStreamTerminal(ls->handle);
     if (expired_finishing) {
@@ -578,11 +537,10 @@ server::SessionConfig
 Engine::sessionConfigFor(const Job &job) const
 {
     if (!job.live) {
-        // Mirror the batch path's front-end check: the session
-        // consumes raw samples, so a rate mismatch would silently
-        // skew framing and every derived stat (audioSeconds, RTF,
-        // throughput).  Live streams push bare samples, which are
-        // defined to be at the model's rate.
+        // The session consumes raw samples, so a rate mismatch would
+        // silently skew framing and every derived stat (audioSeconds,
+        // RTF, throughput).  Live streams push bare samples, which
+        // are defined to be at the model's rate.
         ASR_ASSERT(job.audio.sampleRate ==
                        model_.mfcc().config().sampleRate,
                    "audio sample rate %u does not match the "
@@ -598,7 +556,6 @@ Engine::sessionConfigFor(const Job &job) const
         static_cast<const server::SessionKnobs &>(opts);
     scfg.id = job.sessionId;
     scfg.baseSeed = opts.baseSeed;
-    scfg.deferScoring = opts.batchScoring;
     if (job.live) {
         // Per-stream degradation overrides (the overload layer's
         // lever): tighter search on this stream only, engine-wide
@@ -658,15 +615,7 @@ Engine::recordResult(const pipeline::RecognitionResult &result,
 }
 
 void
-Engine::publishPartial(LiveStream &ls,
-                       server::StreamingSession &session)
-{
-    publishPartialWords(ls, session.partialWords());
-}
-
-void
-Engine::publishPartialWords(LiveStream &ls,
-                            std::vector<wfst::WordId> partial)
+Engine::publishPartial(LiveStream &ls, std::vector<wfst::WordId> partial)
 {
     std::function<void(const std::vector<wfst::WordId> &)> callback;
     {
@@ -693,7 +642,7 @@ Engine::finishLive(LiveStream &ls,
     {
         std::lock_guard<std::mutex> lock(ls.mu);
         // Whoever moves the stream to Done delivers -- exactly once.
-        // The loser (a decode worker whose Finishing stream the
+        // The loser (the coordinator, for a Finishing stream the
         // deadline watchdog already foreclosed and delivered) drops
         // its late result here instead of double-setting the promise.
         if (ls.lifecycle == StreamState::Done)
@@ -713,157 +662,7 @@ Engine::finishLive(LiveStream &ls,
 }
 
 // ---------------------------------------------------------------------------
-// Per-session mode: a pool of identical workers.
-// ---------------------------------------------------------------------------
-
-void
-Engine::workerLoop()
-{
-    for (;;) {
-        Job job;
-        {
-            std::unique_lock<std::mutex> lock(mu);
-            workReady.wait(lock, [this] {
-                return stopping || !queue.empty();
-            });
-            if (queue.empty()) {
-                // stopping && empty: shut down.
-                return;
-            }
-            job = std::move(queue.front());
-            queue.pop_front();
-        }
-
-        if (job.live) {
-            // The worker dedicates itself to this stream until it
-            // finishes or is cancelled (batch mode multiplexes many
-            // live streams over few threads instead).
-            if (job.live->options.autoEndpoint)
-                runAutoLiveJob(job);
-            else
-                runLiveJob(job);
-            continue;
-        }
-
-        pipeline::RecognitionResult result = runJob(job);
-        recordResult(result, secondsSince(job.submitted));
-        job.promise.set_value(std::move(result));
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            --outstanding;
-            if (outstanding == 0)
-                queueIdle.notify_all();
-        }
-    }
-}
-
-pipeline::RecognitionResult
-Engine::runJob(Job &job)
-{
-    server::StreamingSession session(model_, sessionConfigFor(job));
-
-    // Feed the audio the way a live client would: one chunk at a
-    // time, so the streaming path (incremental MFCC, lagged scoring)
-    // is what actually serves traffic.
-    const std::vector<float> &samples = job.audio.samples;
-    for (std::size_t base = 0; base < samples.size();
-         base += opts.chunkSamples) {
-        const std::size_t len =
-            std::min(opts.chunkSamples, samples.size() - base);
-        session.pushAudio(
-            std::span<const float>(samples.data() + base, len));
-    }
-    return session.finish();
-}
-
-void
-Engine::runLiveJob(Job &job)
-{
-    LiveStream &ls = *job.live;
-    {
-        // A stream cancelled while still queued never needs a
-        // session at all.
-        std::lock_guard<std::mutex> lock(ls.mu);
-        if (ls.cancelled)
-            return;
-    }
-    server::StreamingSession session(model_, sessionConfigFor(job));
-    for (;;) {
-        std::vector<float> chunk;
-        bool do_finish = false;
-        {
-            std::unique_lock<std::mutex> lock(ls.mu);
-            ls.inputReady.wait(lock, [&ls] {
-                return ls.cancelled || ls.closed ||
-                       !ls.chunks.empty();
-            });
-            if (ls.cancelled)
-                return;
-            if (!ls.chunks.empty()) {
-                chunk = std::move(ls.chunks.front());
-                ls.chunks.pop_front();
-                ls.spaceReady.notify_one();
-            } else {
-                do_finish = true;  // closed and fully drained
-            }
-        }
-        if (do_finish)
-            break;
-        session.pushAudio(chunk);
-        publishPartial(ls, session);
-    }
-    finishLive(ls, session.finish());
-}
-
-void
-Engine::runAutoLiveJob(Job &job)
-{
-    LiveStream &ls = *job.live;
-    {
-        std::lock_guard<std::mutex> lock(ls.mu);
-        if (ls.cancelled)
-            return;
-    }
-    server::SegmentedSession seg(model_, segmentedConfigFor(job));
-    seg.onSegment(segmentSinkFor(job.live));
-    for (;;) {
-        std::vector<float> chunk;
-        bool do_finish = false;
-        {
-            std::unique_lock<std::mutex> lock(ls.mu);
-            ls.inputReady.wait(lock, [&ls] {
-                return ls.cancelled || ls.closed ||
-                       !ls.chunks.empty();
-            });
-            if (ls.cancelled)
-                return;
-            if (!ls.chunks.empty()) {
-                chunk = std::move(ls.chunks.front());
-                ls.chunks.pop_front();
-                ls.spaceReady.notify_one();
-            } else {
-                do_finish = true;  // closed and fully drained
-            }
-        }
-        if (do_finish)
-            break;
-        seg.pushAudio(chunk);
-        publishPartialWords(ls, seg.partialWords());
-    }
-    // finish() may close one last segment (firing the sink), so the
-    // segment count is read only afterwards: the stream's final
-    // result re-delivers the last segment and must not be recorded
-    // twice -- unless no segment ever closed, in which case the
-    // empty decode is the stream's one recorded result.
-    pipeline::RecognitionResult final_result = seg.finish();
-    if (seg.gateOpened())
-        stats_.recordGateOpen();
-    finishLive(ls, std::move(final_result),
-               /*record_stats=*/seg.segmentsFinalized() == 0);
-}
-
-// ---------------------------------------------------------------------------
-// Batch mode: coordinator + stage workers.  One-shot jobs and live
+// The coordinator and its stage workers.  One-shot jobs and live
 // streams share the tick loop; live streams contribute whatever
 // their inbound queues hold, so their frames join the cross-session
 // GEMM like everyone else's.
@@ -898,9 +697,9 @@ Engine::coordinatorLoop()
             if (as.session || as.segmented || as.cancelled)
                 continue;
             if (as.job.live) {
-                // Mirror runLiveJob's early-out: a stream cancelled
-                // while still queued never needs the model-scale
-                // session setup it would immediately discard.
+                // A stream cancelled while still queued never needs
+                // the model-scale session setup it would immediately
+                // discard.
                 {
                     std::lock_guard<std::mutex> lock(
                         as.job.live->mu);
@@ -1056,8 +855,7 @@ Engine::advanceActive(ActiveSession &as)
         as.tickWork = 1;
         return;
     }
-    // One chunkSamples-sized push at a time (the same push sequence
-    // per-session mode uses), several per tick.
+    // One chunkSamples-sized push at a time, several per tick.
     for (std::size_t c = 0;
          c < max_chunks && as.offset < samples.size(); ++c) {
         const std::size_t len = std::min(
@@ -1128,13 +926,11 @@ Engine::tick(std::vector<ActiveSession> &active)
                 session->consumePendingScores(
                     batchScorer->scores(), batchScorer->base(i),
                     batchScorer->secondsShare(i));
-            if (as.job.live && !as.finishing) {
-                if (as.segmented)
-                    publishPartialWords(*as.job.live,
-                                        as.segmented->partialWords());
-                else
-                    publishPartial(*as.job.live, *as.session);
-            }
+            if (as.job.live && !as.finishing)
+                publishPartial(*as.job.live,
+                               as.segmented
+                                   ? as.segmented->partialWords()
+                                   : as.session->partialWords());
         };
     runStage(active.size(), consume);
     return work;

@@ -1,11 +1,11 @@
 /**
  * @file
  * The unified streaming engine: one public entry point for every
- * recognition scenario.
+ * recognition scenario, over one execution path.
  *
  *  - One-shot: recognize(audio) / submit(audio) -> future.  The
- *    audio is decoded through a private StreamingSession on the
- *    worker pool, chunk by chunk, exactly as a live client would
+ *    audio is fed to a private StreamingSession chunk by chunk
+ *    (EngineOptions::chunkSamples), exactly as a live client would
  *    have streamed it.
  *  - Live streaming: open() returns a StreamHandle; push() feeds
  *    audio as it is captured (with backpressure once the inbound
@@ -19,22 +19,23 @@
  *    silence finishes each utterance automatically (results arrive
  *    through StreamOptions::onSegment with sample-exact boundaries)
  *    and decoding transparently re-opens on the next speech onset.
- *    Works in both per-session and batch mode.
- *  - Batched serving: with EngineOptions::batchScoring, a
- *    coordinator advances every in-flight session -- one-shot jobs
- *    *and* live streams -- in lockstep ticks and coalesces their
- *    pending DNN frames into one cross-session forward pass per
- *    tick, so live clients get the paper's batching-on-a-throughput-
- *    device economics too.
  *
- * All three produce bit-identical per-utterance results: sessions
- * share one immutable pipeline::AsrModel, every stochastic component
- * draws from a per-session RNG seeded by deriveSeed(baseSeed,
- * sessionId), incremental MFCC is chunk-boundary-invariant, and the
- * float acoustic backends score row-wise (see acoustic/backend.hh),
- * so neither thread count, scoring mode, nor push() granularity can
- * change a result.  The legacy surfaces -- AsrSystem::recognize,
- * server::DecodeScheduler -- are thin shims over this class.
+ * All three run through the batch coordinator -- the paper's
+ * throughput-device design (Sec. II: the GPU scores a batch of
+ * frames while the search consumes the previous one).  It advances
+ * every in-flight session, one-shot jobs and live streams alike, in
+ * lockstep ticks and coalesces their pending DNN frames into one
+ * cross-session forward pass per tick.
+ *
+ * Every entry style produces the per-utterance result of the offline
+ * pipeline (whole-utterance MFCC -> DnnScorer::score -> the search
+ * backend's decode()), bit for bit: sessions share one immutable
+ * pipeline::AsrModel, every stochastic component draws from a
+ * per-session RNG seeded by deriveSeed(baseSeed, sessionId),
+ * incremental MFCC is chunk-boundary-invariant, and the float
+ * acoustic backends score row-wise (see acoustic/backend.hh), so
+ * neither thread count, batch composition, nor push() granularity
+ * can change a result.
  *
  * Stream state machine:
  *
@@ -121,8 +122,8 @@ class Engine : public StreamEndpoint
     // ---- One-shot ---------------------------------------------------
 
     /**
-     * Enqueue one complete utterance; a session decodes it on the
-     * pool.  @return future of the final result (its sessionId field
+     * Enqueue one complete utterance; the coordinator decodes it in
+     * its tick loop.  @return future of the final result (its sessionId field
      * records the assigned id).
      */
     std::future<pipeline::RecognitionResult>
@@ -135,31 +136,19 @@ class Engine : public StreamEndpoint
     // ---- Live streams -----------------------------------------------
 
     /**
-     * Open a live stream.  The stream is scheduled like any other
-     * session: onto a dedicated worker in per-session mode, or into
-     * the batch coordinator's tick loop in batch mode (where its
-     * frames join the cross-session GEMM).
-     *
-     * Capacity: per-session mode dedicates one worker per live
-     * stream, so at most numThreads may be open at once -- opening
-     * more is rejected (a warn() diagnostic pointing at batchScoring
-     * or more threads, and an invalid handle) rather than silently
-     * deadlocking a pusher waiting on a stream no worker will ever
-     * serve.  Batch mode multiplexes any number of streams over the
-     * coordinator; beyond maxBatchSessions, un-admitted streams
-     * simply absorb pushes until backpressure pauses them.
+     * Open a live stream.  The stream joins the batch coordinator's
+     * tick loop like any other session, so its frames join the
+     * cross-session GEMM.  Any number of streams may be open; beyond
+     * maxBatchSessions, un-admitted streams simply absorb pushes
+     * until backpressure pauses them.
      *
      * @return the stream's handle; an *invalid* handle (value == 0)
-     *         when per-session capacity is exhausted -- push/finish/
-     *         cancel on it degrade cleanly (false / invalid future),
-     *         so callers shedding load need only check value != 0
-     *
-     * The status-reporting overload: Capacity is recoverable (retry
-     * once a stream finishes; the net layer answers RETRY_AFTER),
-     * InvalidOptions is permanent for these options (hard error).
-     * @p status is Ok exactly when the returned handle is valid.
-     * (The status-less open() and blocking push() conveniences are
-     * inherited from StreamEndpoint.)
+     *         when the options are unusable (@p status is then
+     *         InvalidOptions) -- push/finish/cancel on it degrade
+     *         cleanly (false / invalid future).  @p status is Ok
+     *         exactly when the returned handle is valid.  (The
+     *         status-less open() and blocking push() conveniences
+     *         are inherited from StreamEndpoint.)
      */
     StreamHandle open(const StreamOptions &options,
                       OpenStatus &status) override;
@@ -230,12 +219,8 @@ class Engine : public StreamEndpoint
 
     const EngineOptions &options() const { return opts; }
 
-    unsigned
-    numThreads() const
-    {
-        return unsigned(workers.size()) +
-               (coordinator.joinable() ? 1 : 0);
-    }
+    /** The coordinator plus its stage workers. */
+    unsigned numThreads() const { return opts.numThreads; }
 
     /** Sessions accepted so far (one-shot jobs + opened streams). */
     std::uint64_t submittedCount() const;
@@ -255,7 +240,6 @@ class Engine : public StreamEndpoint
         std::chrono::steady_clock::time_point opened;
 
         mutable std::mutex mu;
-        std::condition_variable inputReady;  //!< chunks/closed/cancel
         std::condition_variable spaceReady;  //!< chunk consumed
         std::deque<std::vector<float>> chunks;
         bool closed = false;     //!< finish() called
@@ -278,7 +262,7 @@ class Engine : public StreamEndpoint
         std::chrono::steady_clock::time_point submitted;
     };
 
-    /** One in-flight utterance of the batch-mode coordinator. */
+    /** One in-flight utterance of the coordinator. */
     struct ActiveSession
     {
         Job job;
@@ -294,12 +278,6 @@ class Engine : public StreamEndpoint
     };
 
     void start();
-    void workerLoop();
-    pipeline::RecognitionResult runJob(Job &job);
-    void runLiveJob(Job &job);
-    /** Per-session mode, autoEndpoint streams: drive a
-     *  SegmentedSession off the inbound queue. */
-    void runAutoLiveJob(Job &job);
     server::SessionConfig sessionConfigFor(const Job &job) const;
     /** The SegmentedSession configuration of an autoEndpoint job. */
     server::SegmentedConfig segmentedConfigFor(const Job &job) const;
@@ -311,16 +289,12 @@ class Engine : public StreamEndpoint
                       double latency_seconds);
 
     /**
-     * Refresh @p ls.lastPartial from @p session; on change, fire the
+     * Refresh @p ls.lastPartial to @p partial; on change, fire the
      * onPartial callback and record time-to-first-partial.  Called
-     * from whichever engine thread is advancing the stream.
+     * from whichever stage thread is advancing the stream.
      */
     void publishPartial(LiveStream &ls,
-                        server::StreamingSession &session);
-
-    /** As publishPartial, from an already-extracted hypothesis. */
-    void publishPartialWords(LiveStream &ls,
-                             std::vector<wfst::WordId> partial);
+                        std::vector<wfst::WordId> partial);
 
     /**
      * Deliver the final result of a live stream.  @p record_stats is
@@ -334,10 +308,10 @@ class Engine : public StreamEndpoint
 
     /**
      * Account a stream's transition to a terminal state (Done or
-     * Cancelled): frees its per-session-mode worker slot and, once
-     * more than kRetiredHandleCap terminal streams have accumulated,
-     * evicts the oldest half from the handle map so a long-running
-     * engine does not retain one LiveStream per utterance forever.
+     * Cancelled): once more than retiredHandleCap terminal streams
+     * have accumulated, evict the oldest half from the handle map so
+     * a long-running engine does not retain one LiveStream per
+     * utterance forever.
      */
     void noteStreamTerminal(std::uint64_t handle);
 
@@ -363,7 +337,7 @@ class Engine : public StreamEndpoint
      */
     void expireStream(std::uint64_t handle);
 
-    // -- Batch mode (opts.batchScoring) ------------------------------
+    // -- The coordinator and its stage workers -----------------------
     void coordinatorLoop();
     void stageWorkerLoop(unsigned slot);
 
@@ -394,10 +368,6 @@ class Engine : public StreamEndpoint
     /** Terminal handles, oldest first, awaiting eviction
      *  (EngineOptions::retiredHandleCap bounds the window). */
     std::deque<std::uint64_t> retiredHandles;
-    unsigned liveOpen = 0;              //!< streams not yet terminal
-    /** Saturation already warned about; rearmed when a slot frees,
-     *  so sustained overload logs once per episode, not per open(). */
-    bool capacityWarned = false;
     /**
      * Handle values are drawn from this monotonically increasing
      * 64-bit counter and NEVER recycled -- at one open() per
@@ -435,7 +405,7 @@ class Engine : public StreamEndpoint
         deadlines;
     std::condition_variable watchdogWake;  //!< new deadline or stop
 
-    // Stage-dispatch state (batch mode): the coordinator publishes a
+    // Stage-dispatch state: the coordinator publishes a
     // (generation, fn, count) triple; each stage worker processes its
     // static index slice and reports done.  A new stage cannot start
     // until every worker reported, so no worker can ever observe a
@@ -455,13 +425,13 @@ class Engine : public StreamEndpoint
     server::EngineStats stats_;
     std::chrono::steady_clock::time_point startTime;
     /**
-     * Batch mode only.  Kept apart from the pool because shutdown
-     * order matters: the stage workers must outlive the coordinator
-     * (it may have a stage generation in flight that they have to
+     * Kept apart from the stage workers because shutdown order
+     * matters: the stage workers must outlive the coordinator (it
+     * may have a stage generation in flight that they have to
      * complete), so ~Engine joins it before setting stageStop.
      */
     std::thread coordinator;
-    std::vector<std::thread> workers;  //!< stage or session workers
+    std::vector<std::thread> workers;  //!< stage workers
     /** Deadline enforcement; started by the first open() that
      *  carries a deadline, joined by ~Engine after drain(). */
     std::thread watchdog;

@@ -2,14 +2,11 @@
  * @file
  * One options struct for the whole engine.
  *
- * Before the unified API, the same knobs were copied across
- * SessionConfig, SchedulerConfig and AsrSystemConfig, and every
- * copy-through (sessionConfigFor) was a place for a new knob to be
- * silently dropped.  EngineOptions embeds the shared per-session
- * knobs (server::SessionKnobs, by inheritance so the field names
- * stay flat) exactly once and adds only engine-level concerns;
- * SchedulerConfig is now an alias-by-inheritance of this struct, and
- * SessionConfig receives the knobs by slice assignment.
+ * EngineOptions embeds the shared per-session knobs
+ * (server::SessionKnobs, by inheritance so the field names stay
+ * flat) exactly once and adds only engine-level concerns;
+ * SessionConfig receives the knobs by slice assignment, so a new
+ * knob can never be silently dropped by a field-by-field copy.
  */
 
 #ifndef ASR_API_OPTIONS_HH
@@ -26,46 +23,45 @@ namespace asr::api {
 /** Engine-wide configuration (validated at engine construction). */
 struct EngineOptions : server::SessionKnobs
 {
-    /** Worker threads decoding sessions (>= 1). */
+    /** Threads running the tick: the coordinator plus numThreads - 1
+     *  stage workers (>= 1). */
     unsigned numThreads = 1;
 
     /** Base seed; session i uses deriveSeed(baseSeed, i). */
     std::uint64_t baseSeed = 1;
 
     /**
-     * Audio chunk size workers feed a one-shot job's session per
-     * push, in samples; 160 = one 10 ms frame at 16 kHz, exercising
-     * the streaming path the way a live client would.  (Live streams
-     * arrive pre-chunked by the caller's push() calls.)
+     * Audio chunk size the coordinator feeds a one-shot job's session
+     * per push, in samples; 160 = one 10 ms frame at 16 kHz,
+     * exercising the streaming path the way a live client would.
+     * (Live streams arrive pre-chunked by the caller's push() calls.)
      */
     std::size_t chunkSamples = 160;
 
     /**
-     * Cross-session batched DNN scoring.  Instead of each worker
-     * decoding one utterance end to end (scoring frames one at a
-     * time), a coordinator advances up to maxBatchSessions sessions
-     * in lockstep ticks: every tick pulls audio into each active
+     * Must stay true; the field remains only so callers that still
+     * set it keep compiling.  The engine has one execution path: a
+     * coordinator advances up to maxBatchSessions sessions in
+     * lockstep ticks -- every tick pulls audio into each active
      * session (a one-shot job's next chunks, or whatever a live
      * stream's inbound queue holds), coalesces all pending spliced
      * frames into one batched forward pass (server::BatchScorer),
      * then feeds the scores to each session's frame-synchronous
-     * search.  The per-session advance and search stages, and each
-     * large layer's GEMM, run in parallel across the worker pool;
-     * the GEMM batch grows with the number of active sessions, not
-     * the thread count.  Float-backend results stay bit-identical to
-     * non-batched mode (see acoustic/backend.hh).
+     * search.  The advance and search stages, and each large layer's
+     * GEMM, run in parallel across the threads.  validate() rejects
+     * false: the per-session mode it once selected was removed.
      */
-    bool batchScoring = false;
+    bool batchScoring = true;
 
     /** Concurrent sessions the batch coordinator keeps in flight. */
     std::size_t maxBatchSessions = 32;
 
     /**
-     * Audio chunks each session advances per tick in batch mode.
-     * Larger values coalesce more frames per forward pass (batch ~=
-     * sessions x chunksPerTick) and amortize the per-tick stage
-     * barriers, at the cost of coarser partial-result latency.
-     * Results stay bit-identical to per-session mode regardless.
+     * Audio chunks each session advances per tick.  Larger values
+     * coalesce more frames per forward pass (batch ~= sessions x
+     * chunksPerTick) and amortize the per-tick stage barriers, at the
+     * cost of coarser partial-result latency.  Results are the same
+     * bits for any value.
      */
     std::size_t chunksPerTick = 8;
 
@@ -89,17 +85,19 @@ struct EngineOptions : server::SessionKnobs
     std::size_t retiredHandleCap = 1024;
 
     /**
-     * Acoustic scoring backend name ("reference", "blocked", "int8");
-     * empty keeps the model's configured backend.  Only consulted by
+     * Acoustic scoring backend name ("reference", "blocked",
+     * "blocked-avx2", "int8", "int8-avx2"); empty keeps the model's
+     * configured backend.  Only consulted by
      * the model-building constructor -- an engine over an existing
      * AsrModel scores through whatever backend that model owns.
      */
     std::string acousticBackend;
 
     /**
-     * Validate the options: the search backend name must be in the
-     * search::Backend registry and the acoustic backend name (when
-     * set) must be a known acoustic::BackendKind.
+     * Validate the options: batchScoring must be true, the search
+     * backend name must be in the search::Backend registry and the
+     * acoustic backend name (when set) must be a known
+     * acoustic::BackendKind.
      * @return empty string when valid, else a diagnostic listing the
      *         registered backend names
      */

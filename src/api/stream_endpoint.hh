@@ -13,7 +13,7 @@
  *
  *  - the invalid-handle contract (StreamHandle),
  *  - the stream state machine (StreamState),
- *  - the recoverable/permanent rejection split (OpenStatus),
+ *  - the machine-readable open() outcome (OpenStatus),
  *  - bounded-wait backpressure (PushResult).
  */
 
@@ -69,23 +69,17 @@ enum class StreamState
 };
 
 /**
- * Machine-readable outcome of open().  Before this existed, every
- * rejection looked the same to callers -- handle 0 plus a warn() on
- * stderr -- so an embedding server could not tell "retry in a moment"
- * from "this request can never succeed".  The split is exactly the
- * load-shedding decision a front door has to make:
- *
- *  - Capacity is *recoverable*: every per-session worker slot is
- *    taken right now; the same open() succeeds once a stream
- *    finishes.  A server maps this to a protocol-level RETRY_AFTER.
- *  - InvalidOptions is *permanent* for these options: an unknown
- *    vad::Detector name, or wakeWord without autoEndpoint.  Retrying
- *    cannot help; a server maps this to a hard ERROR.
+ * Machine-readable outcome of open(), so an embedding server can
+ * tell a rejection apart from success without parsing log text.
+ * The only rejection is InvalidOptions, which is *permanent* for
+ * these options: an unknown vad::Detector name, or wakeWord without
+ * autoEndpoint.  Retrying cannot help; a server maps it to a hard
+ * ERROR.  (Load shedding -- "retry in a moment" -- is the front
+ * door's decision, made before it calls open(); see net::Server.)
  */
 enum class OpenStatus
 {
     Ok,             //!< handle issued
-    Capacity,       //!< recoverable: all slots taken, retry later
     InvalidOptions, //!< permanent: these options can never open
 };
 
@@ -207,7 +201,7 @@ class StreamEndpoint
 
     /**
      * Open a live stream; @p status is Ok exactly when the returned
-     * handle is valid (see OpenStatus for the rejection split).
+     * handle is valid (see OpenStatus).
      */
     virtual StreamHandle open(const StreamOptions &options,
                               OpenStatus &status) = 0;

@@ -177,11 +177,7 @@ LoadGen::run(api::StreamEndpoint &endpoint,
 
             api::OpenStatus status = api::OpenStatus::Ok;
             const api::StreamHandle h = endpoint.open(sopts, status);
-            if (status == api::OpenStatus::Capacity) {
-                out.kind = Outcome::Kind::ShedServer;
-                return out;
-            }
-            if (h.value == 0) {
+            if (status != api::OpenStatus::Ok) {
                 out.kind = Outcome::Kind::Error;
                 return out;
             }

@@ -22,7 +22,7 @@
  *
  * Per-request measurements: time-to-first-partial and finish-to-final
  * latency into sim::Histograms (p50/p99/p99.9 via quantile()), plus
- * admission outcomes -- server sheds (Capacity/RETRY_AFTER), client
+ * admission outcomes -- server sheds (RETRY_AFTER), client
  * sheds (the generator's own maxConcurrent cap), deadline expiries,
  * degraded results.
  *
@@ -141,7 +141,7 @@ struct LoadMetrics
 {
     std::uint64_t offered = 0;    //!< arrivals the process generated
     std::uint64_t admitted = 0;   //!< streams actually opened
-    std::uint64_t shedServer = 0; //!< Capacity / RETRY_AFTER refusals
+    std::uint64_t shedServer = 0; //!< RETRY_AFTER refusals
     std::uint64_t shedClient = 0; //!< maxConcurrent drops
     std::uint64_t completed = 0;  //!< final results delivered
     std::uint64_t degraded = 0;   //!< results flagged degraded

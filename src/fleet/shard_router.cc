@@ -123,17 +123,11 @@ ShardRouter::placeKey(std::uint64_t key) const
     return best;
 }
 
-std::vector<unsigned>
-ShardRouter::shardsByLoadLocked() const
+unsigned
+ShardRouter::leastLoadedLocked() const
 {
-    std::vector<unsigned> order(engines.size());
-    for (unsigned s = 0; s < engines.size(); ++s)
-        order[s] = s;
-    std::stable_sort(order.begin(), order.end(),
-                     [this](unsigned a, unsigned b) {
-                         return liveCount[a] < liveCount[b];
-                     });
-    return order;
+    return unsigned(std::min_element(liveCount.begin(), liveCount.end()) -
+                    liveCount.begin());
 }
 
 void
@@ -187,64 +181,32 @@ ShardRouter::doOpen(std::uint64_t key,
     std::lock_guard<std::mutex> lock(mu);
     reconcileLocked();
 
+    // A Healthy rendezvous target (or any target, with rebalance
+    // off) takes the stream -- the common case routes with zero extra
+    // work.  A target that left Healthy is skipped -- that IS the
+    // rebalance -- and the open goes to the least-loaded shard.
     const unsigned preferred = placeKey(key);
+    const bool divert =
+        opts.rebalance && monitors[preferred].state() !=
+                              net::OverloadMonitor::State::Healthy;
+    const unsigned s = divert ? leastLoadedLocked() : preferred;
 
-    // Attempt order.  Healthy rendezvous target goes first (the
-    // common case routes with zero extra work); a target that left
-    // Healthy is skipped up front -- that IS the rebalance -- and new
-    // opens spread by current load instead.  Either way the remaining
-    // shards follow least-loaded first, so a capacity rejection on
-    // the first choice degrades into load-spreading rather than a
-    // refusal while other shards sit idle.  With rebalance off the
-    // rendezvous shard is the only attempt.
-    std::vector<unsigned> order;
-    if (!opts.rebalance) {
-        order.push_back(preferred);
-    } else {
-        const bool healthy = monitors[preferred].state() ==
-                             net::OverloadMonitor::State::Healthy;
-        if (healthy)
-            order.push_back(preferred);
-        for (unsigned s : shardsByLoadLocked())
-            if (s != preferred || !healthy)
-                order.push_back(s);
-    }
-
-    for (unsigned s : order) {
-        api::OpenStatus st = api::OpenStatus::Ok;
-        const api::StreamHandle eh = engines[s]->open(options, st);
-        if (st == api::OpenStatus::Ok) {
-            // A successful admission is a healthy observation: the
-            // monitor's EWMA decays back toward exit and the shard
-            // eventually rejoins rendezvous routing (hysteresis keeps
-            // one success from flapping it back instantly).
-            monitors[s].observe(0.0, 0);
-            ++liveCount[s];
-            const api::StreamHandle h{compose(s, eh.value)};
-            liveShard.emplace(h.value, s);
-            if (s == preferred)
-                ++count.opensRouted;
-            else
-                ++count.opensDiverted;
-            status = api::OpenStatus::Ok;
-            return h;
-        }
-        if (st == api::OpenStatus::InvalidOptions) {
-            // Permanent for these options on every shard; trying the
-            // others would just repeat the warn().
-            status = api::OpenStatus::InvalidOptions;
-            return api::StreamHandle{};
-        }
-        // Capacity: a full-strength shed observation, so a shard that
-        // keeps rejecting crosses the monitor's entry threshold and
-        // stops being anyone's first choice until it drains.
-        monitors[s].observe(opts.overload.shedTickLagMs,
-                            opts.overload.shedQueueDepth);
-    }
-
-    ++count.opensRejected;
-    status = api::OpenStatus::Capacity;
-    return api::StreamHandle{};
+    const api::StreamHandle eh = engines[s]->open(options, status);
+    if (status != api::OpenStatus::Ok)
+        return api::StreamHandle{};  // permanent for these options
+    // A successful admission is a healthy observation: the monitor's
+    // EWMA decays back toward exit and the shard eventually rejoins
+    // rendezvous routing (hysteresis keeps one success from flapping
+    // it back instantly).
+    monitors[s].observe(0.0, 0);
+    ++liveCount[s];
+    const api::StreamHandle h{compose(s, eh.value)};
+    liveShard.emplace(h.value, s);
+    if (s == preferred)
+        ++count.opensRouted;
+    else
+        ++count.opensDiverted;
+    return h;
 }
 
 // ---------------------------------------------------------------------------

@@ -24,20 +24,16 @@
  * a live decode (which would discard decoder state mid-utterance).
  *
  * Rebalancing is admission-time only.  Each shard has a
- * net::OverloadMonitor fed from its own admission outcomes (and
- * optionally from external signals via observeShard): a capacity
- * rejection feeds a shed-strength observation, a successful open
- * feeds a healthy one.  While a shard's smoothed signal holds it out
- * of Healthy, new opens that rendezvous onto it divert to the
+ * net::OverloadMonitor fed by external load signals (observeShard)
+ * and by its own admissions, each successful open a healthy
+ * observation.  While a shard's smoothed signal holds it out of
+ * Healthy, new opens that rendezvous onto it divert to the
  * least-loaded shard instead -- existing streams stay where they
  * are.  The monitor's hysteresis (exit threshold below entry) keeps
- * a single rejection from flapping placement.
+ * a single spike from flapping placement.
  *
  *   rendezvous target Healthy ──────────────► open on target
  *   rendezvous target Degraded/Shedding ────► open on least-loaded
- *   chosen shard rejects (Capacity) ────────► try others, least-
- *                                             loaded first; all
- *                                             full => Capacity
  *
  * Model modes (mirroring Engine's two constructors):
  *  - shared: every shard decodes through one immutable AsrModel
@@ -76,8 +72,7 @@ struct RouterOptions
     /** Number of engine shards (>= 1). */
     unsigned shards = 2;
 
-    /** Per-shard engine configuration (numThreads is per shard, so
-     *  per-session-mode capacity is shards x numThreads streams). */
+    /** Per-shard engine configuration (numThreads is per shard). */
     api::EngineOptions engine;
 
     /**
@@ -90,15 +85,15 @@ struct RouterOptions
 
     /**
      * Per-shard overload thresholds driving admission-time
-     * rebalancing.  The defaults make a shard leave Healthy after a
-     * couple of capacity rejections and return once successful opens
-     * decay the signal (see feed strengths in shard_router.cc).
+     * rebalancing: a shard leaves Healthy once observeShard's load
+     * signal crosses them and returns once successful opens decay
+     * the signal.
      */
     net::OverloadOptions overload;
 
-    /** False pins every open to its rendezvous shard (no diversion);
-     *  capacity rejections then surface directly.  Tests and the
-     *  bit-identity sweep run with this off. */
+    /** False pins every open to its rendezvous shard (no
+     *  diversion).  Tests and the bit-identity sweep run with this
+     *  off. */
     bool rebalance = true;
 };
 
@@ -107,7 +102,6 @@ struct RouterCounters
 {
     std::uint64_t opensRouted = 0;   //!< admitted on rendezvous shard
     std::uint64_t opensDiverted = 0; //!< admitted on another shard
-    std::uint64_t opensRejected = 0; //!< every shard refused
 };
 
 /**
@@ -242,8 +236,9 @@ class ShardRouter : public api::StreamEndpoint
     /** Drop terminal streams from the live table (called under mu). */
     void reconcileLocked();
 
-    /** Live-stream counts per shard, least-loaded first (under mu). */
-    std::vector<unsigned> shardsByLoadLocked() const;
+    /** The shard with the fewest live streams, lowest index on ties
+     *  (under mu). */
+    unsigned leastLoadedLocked() const;
 
     RouterOptions opts;
     std::vector<std::unique_ptr<api::Engine>> engines;

@@ -448,8 +448,8 @@ Server::handleOpen(Connection &conn, const Frame &frame)
         sendRetryAfter(conn, frame.streamId, monitor.backoffHintMs());
         return;
     }
-    // Server-level admission bound next: it protects the engine in
-    // batch mode, which would otherwise admit any number of streams.
+    // Server-level admission bound next: it protects the engine,
+    // which would otherwise admit any number of streams.
     if (opts.maxStreams != 0 && activeStreams() >= opts.maxStreams) {
         sendRetryAfter(conn, frame.streamId, opts.retryAfterMs);
         return;
@@ -468,18 +468,10 @@ Server::handleOpen(Connection &conn, const Frame &frame)
     }
     api::OpenStatus status;
     const api::StreamHandle h = engine.open(stream_opts, status);
-    switch (status) {
-    case api::OpenStatus::Capacity:
-        // The engine's recoverable rejection becomes the protocol's
-        // load-shedding answer: try again shortly.
-        sendRetryAfter(conn, frame.streamId, opts.retryAfterMs);
-        return;
-    case api::OpenStatus::InvalidOptions:
+    if (status == api::OpenStatus::InvalidOptions) {
         sendError(conn, frame.streamId, ErrorCode::InvalidOptions,
                   "engine rejected the stream options");
         return;
-    case api::OpenStatus::Ok:
-        break;
     }
     StreamEntry entry;
     entry.handle = h;

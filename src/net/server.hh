@@ -8,11 +8,12 @@
  * stream maps 1:1 onto an Engine live-stream handle.  The loop never
  * blocks on the engine:
  *
- *  - OPEN goes through Engine::open(options, OpenStatus): Capacity
- *    (and the server-level ServerOptions::maxStreams bound) answers
- *    RETRY_AFTER -- the overload contract; a saturated server sheds
- *    load instead of stalling or queueing clients -- while
- *    InvalidOptions answers a hard ERROR.  A successful OPEN is
+ *  - OPEN goes through Engine::open(options, OpenStatus): the
+ *    server-level ServerOptions::maxStreams bound and overload
+ *    shedding answer RETRY_AFTER before the engine is asked -- the
+ *    overload contract; a saturated server sheds load instead of
+ *    stalling or queueing clients -- while InvalidOptions answers a
+ *    hard ERROR.  A successful OPEN is
  *    acknowledged with the stream's (empty) first PARTIAL.
  *  - PUSH goes through Engine::pushFor(h, chunk, 0): a WouldBlock
  *    (engine backpressure) parks the chunk in a per-stream backlog
@@ -68,9 +69,7 @@ struct ServerOptions
     /**
      * Server-level admission bound across all connections: OPENs
      * beyond this many concurrently open/finishing streams answer
-     * RETRY_AFTER.  0 defers entirely to the engine (whose
-     * per-session mode rejects with OpenStatus::Capacity; batch mode
-     * admits any number).
+     * RETRY_AFTER.  0: no server-side bound.
      */
     std::size_t maxStreams = 0;
 

@@ -104,28 +104,4 @@ AsrModel::trainAcousticModel()
     trainAccuracy = dnn_.accuracy(x, y);
 }
 
-std::vector<float>
-AsrModel::scoreSplicedFrame(const std::vector<float> &spliced) const
-{
-    acoustic::FrameScratch scratch;
-    std::vector<float> out(backend_->outputDim() + 1, wfst::kLogZero);
-    scoreSplicedFrameInto(spliced, out, scratch);
-    return out;
-}
-
-void
-AsrModel::scoreSplicedFrameInto(std::span<const float> spliced,
-                                std::span<float> likes,
-                                acoustic::FrameScratch &scratch) const
-{
-    ASR_ASSERT(spliced.size() == backend_->inputDim(),
-               "spliced feature dim %zu != backend input dim %zu",
-               spliced.size(), backend_->inputDim());
-    ASR_ASSERT(likes.size() == backend_->outputDim() + 1,
-               "likelihood buffer %zu != %zu", likes.size(),
-               backend_->outputDim() + 1);
-    likes[0] = wfst::kLogZero;  // epsilon slot (phonemes are 1-based)
-    backend_->scoreFrame(spliced, likes.subspan(1), scratch);
-}
-
 } // namespace asr::pipeline

@@ -17,8 +17,8 @@
  *    all accessors are const and touch only immutable state.
  *  - The referenced Wfst is immutable by construction.
  *  - frontend::Mfcc::compute/computeFrame, acoustic::Dnn::forward,
- *    the acoustic::Backend entry points (immutable packed weights,
- *    caller-provided scratch) and frontend::Synthesizer::synthesize
+ *    acoustic::Backend::scoreBatch (immutable packed weights, local
+ *    scratch) and frontend::Synthesizer::synthesize
  *    are const and use only local scratch, so concurrent calls
  *    through this model are safe.
  *  - The caller must keep the Wfst (and the model) alive for as long
@@ -30,7 +30,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,6 @@ struct AsrSystemConfig
     unsigned trainUtterPerPhoneme = 40;  //!< training segments
     unsigned trainEpochs = 30;
     float beam = 14.0f;
-    bool useAccelerator = true;    //!< else: software decoder
 
     /**
      * Acoustic scoring backend (see acoustic/backend.hh).  Blocked is
@@ -95,27 +93,6 @@ class AsrModel
 
     /** Training-set frame classification accuracy of the DNN. */
     float acousticModelAccuracy() const { return trainAccuracy; }
-
-    /**
-     * Score one spliced feature row ((2*context+1)*numCeps values).
-     * Row-independent and bit-identical to the corresponding row of
-     * scorer().score() over the whole utterance, which is what makes
-     * streaming and batch decoding agree exactly.
-     * @return log-likelihoods indexed by phoneme id (slot 0 unused)
-     */
-    std::vector<float>
-    scoreSplicedFrame(const std::vector<float> &spliced) const;
-
-    /**
-     * Allocation-free variant of scoreSplicedFrame for streaming
-     * sessions: writes log-likelihoods into @p likes (numPhonemes + 1
-     * entries, slot 0 set to kLogZero) reusing @p scratch across
-     * calls.  Safe to call concurrently with distinct scratch
-     * objects.
-     */
-    void scoreSplicedFrameInto(std::span<const float> spliced,
-                               std::span<float> likes,
-                               acoustic::FrameScratch &scratch) const;
 
   private:
     void trainAcousticModel();

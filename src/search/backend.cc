@@ -137,7 +137,7 @@ class AccelBackend final : public Backend
 
   private:
     /**
-     * The recipe AsrSystem and StreamingSession always used: the
+     * The recipe StreamingSession has always used: the
      * final design with both Sec. IV optimizations, minus the
      * bandwidth technique (it needs the sorted WFST layout, which
      * the streaming facades do not maintain).

@@ -3,18 +3,18 @@
  * Cross-session batched DNN scoring (the paper's Sec. III-A insight
  * applied to serving): GEMM efficiency on a throughput device comes
  * from batch size, so instead of every session running its own
- * one-row forward per frame, the scheduler's batch mode coalesces
- * the pending spliced frames of *all* active sessions into a single
- * forward pass per tick.  The acoustic::Backend's row-wise
- * bit-identity contract makes this free of numeric consequences on
- * the float paths: each session's scores are bit-identical to inline
- * per-frame scoring no matter how frames are coalesced.
+ * one-row forward per frame, the engine's coordinator coalesces the
+ * pending spliced frames of *all* active sessions into a single
+ * forward pass per tick.  Every acoustic::Backend scores rows
+ * independently, which makes this free of numeric consequences: each
+ * session's scores are bit-identical to the rows a whole-utterance
+ * DnnScorer::score produces, no matter how frames are coalesced.
  *
- * Threading: one BatchScorer is driven by the scheduler's
- * coordinator between the parallel advance/consume stages.  The
- * forward pass itself is split across the caller's threads through
- * the ParallelFor score() forwards to the backend (bit-identical to
- * a serial pass); sessions then read their score rows back
+ * Threading: one BatchScorer is driven by the engine's coordinator
+ * between the parallel advance/consume stages.  The forward pass
+ * itself is split across the caller's threads through the
+ * ParallelFor score() forwards to the backend (bit-identical to a
+ * serial pass); sessions then read their score rows back
  * concurrently via consumePendingScores (disjoint rows of the
  * immutable result).
  */

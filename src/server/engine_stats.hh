@@ -99,8 +99,8 @@ struct EngineSnapshot
     std::uint64_t degradedStreams = 0;
     std::uint64_t deadlinesExpired = 0;
 
-    // Cross-session batched DNN scoring (batch-mode engines only;
-    // all zero when scoring runs inline per session).
+    // Cross-session batched DNN scoring: one forward pass per tick
+    // that had pending frames.
     std::uint64_t dnnBatches = 0;      //!< batched forward passes
     std::uint64_t dnnBatchedFrames = 0;//!< frames scored in them
     double dnnBatchSeconds = 0.0;      //!< wall-clock inside the GEMMs

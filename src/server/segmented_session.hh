@@ -15,28 +15,19 @@
  * onSegment callback together with its sample-exact boundary.
  * Because the endpointer forwards exactly the samples in
  * [startSample, endSample), a segment's result is bit-identical to a
- * manual StreamingSession decode of that slice -- the contract
+ * one-shot decode of that slice -- the contract
  * tests/endpointing_corpus_test.cc asserts.
  *
- * Driving styles (mirrors StreamingSession's dual protocol):
- *
- *  - Inline scoring (cfg.session.deferScoring == false): pushAudio()
- *    does everything synchronously, including finishing segments and
- *    firing onSegment; finish() closes the stream and returns the
- *    final result (the last segment's, or an empty decode when the
- *    stream contained no speech).
- *
- *  - Deferred scoring (deferScoring == true, the batch coordinator):
- *    pushAudio() only accumulates spliced rows in the active
- *    StreamingSession; the driver scores them externally and then
- *    resolves segment closes:
- *      pushAudio ... / beginFinish
- *        -> active()->exportPending / consumePendingScores (driver)
- *        -> segmentClosing() && pendingRows()==0: finalizeSegment()
- *        -> finishReady(): finalizeFinish()
- *    A SegmentEnd is *not* resolved inside pushAudio (the rows are
- *    not scored yet); pushAudio stops pumping events at the close and
- *    resumes after finalizeSegment(), preserving event order.
+ * Driving protocol (StreamingSession's, one level up): pushAudio()
+ * only accumulates spliced rows in the active StreamingSession; the
+ * driver scores them externally and then resolves segment closes:
+ *   pushAudio ... / beginFinish
+ *     -> active()->exportPending / consumePendingScores (driver)
+ *     -> segmentClosing() && pendingRows()==0: finalizeSegment()
+ *     -> finishReady(): finalizeFinish()
+ * A SegmentEnd is *not* resolved inside pushAudio (the rows are not
+ * scored yet); pushAudio stops pumping events at the close and
+ * resumes after finalizeSegment(), preserving event order.
  *
  * Thread safety: none (like StreamingSession).  The batch coordinator
  * may call pushAudio and finalizeSegment from different threads, but
@@ -111,15 +102,7 @@ class SegmentedSession
      *  segments). */
     std::vector<wfst::WordId> partialWords() const;
 
-    /**
-     * Inline mode only: end of stream.  Flushes the endpointer,
-     * finishes any open segment (firing onSegment), and returns the
-     * final result: the last segment's, or an empty decode when no
-     * segment was ever detected.
-     */
-    pipeline::RecognitionResult finish();
-
-    // -- Deferred-scoring protocol (cfg.session.deferScoring) -------
+    // -- Scoring protocol --------------------------------------------
 
     /** End of stream: flush the endpointer and start draining. */
     void beginFinish();
@@ -154,7 +137,11 @@ class SegmentedSession
                !endpointer.eventReady();
     }
 
-    /** Deferred finish, last step (requires finishReady()). */
+    /**
+     * Finish, last step (requires finishReady()): the final result
+     * is the last segment's, or an empty decode when no segment was
+     * ever detected.
+     */
     pipeline::RecognitionResult finalizeFinish();
 
     // -- Introspection ----------------------------------------------
@@ -175,7 +162,7 @@ class SegmentedSession
     const SegmentedConfig &config() const { return cfg; }
 
   private:
-    /** Drain endpointer events until empty or a deferred close. */
+    /** Drain endpointer events until empty or a segment close. */
     void pump();
 
     /** Record + emit one finished segment. */
@@ -194,7 +181,7 @@ class SegmentedSession
     /** The in-progress segment's decode (null between segments). */
     std::unique_ptr<StreamingSession> current;
 
-    /** Boundary of the deferred SegmentEnd awaiting finalizeSegment. */
+    /** Boundary of the SegmentEnd awaiting finalizeSegment. */
     std::uint64_t closeStart = 0;
     std::uint64_t closeEnd = 0;
 
@@ -204,7 +191,7 @@ class SegmentedSession
     std::uint64_t segCount = 0;
     std::uint64_t pushed = 0;
     std::uint64_t suppressed = 0;
-    bool closing = false;    //!< deferred SegmentEnd awaiting scores
+    bool closing = false;    //!< SegmentEnd awaiting scores
     bool finishing_ = false; //!< beginFinish() called
     bool finished = false;   //!< final result taken
 };

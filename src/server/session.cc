@@ -30,7 +30,7 @@ StreamingSession::~StreamingSession() = default;
 void
 StreamingSession::pushAudio(std::span<const float> samples)
 {
-    ASR_ASSERT(!finished, "pushAudio after finish()");
+    ASR_ASSERT(!finished, "pushAudio after flushPending()");
 
     auto t0 = std::chrono::steady_clock::now();
     if (cfg.ditherAmplitude > 0.0f) {
@@ -54,17 +54,17 @@ StreamingSession::drainReadyFrames(bool flush)
 {
     const unsigned ctx = model.contextFrames();
     const std::size_t total = rawBase + rawFeats.size();
-    while (scoredUpTo < total) {
+    while (splicedUpTo < total) {
         // Frame f needs right context up to f + ctx; mid-stream we
         // wait for it, at flush the edge replicates (like batch
         // spliceContext), so results match the batch path exactly.
-        if (!flush && scoredUpTo + ctx >= total)
+        if (!flush && splicedUpTo + ctx >= total)
             break;
-        scoreAndFeed(scoredUpTo, total);
-        ++scoredUpTo;
+        parkFrame(splicedUpTo, total);
+        ++splicedUpTo;
         // Frames older than the next splice window's left edge are
         // done; drop them so a long-lived session stays bounded.
-        while (rawBase + ctx < scoredUpTo) {
+        while (rawBase + ctx < splicedUpTo) {
             rawFeats.pop_front();
             ++rawBase;
         }
@@ -72,64 +72,29 @@ StreamingSession::drainReadyFrames(bool flush)
 }
 
 void
-StreamingSession::spliceFrame(std::size_t f, std::size_t total_hint)
+StreamingSession::parkFrame(std::size_t f, std::size_t total_hint)
 {
+    auto t0 = std::chrono::steady_clock::now();
     const unsigned ctx = model.contextFrames();
     const std::size_t dim = rawFeats[f - rawBase].size();
-    splicedScratch.resize((2 * std::size_t(ctx) + 1) * dim);
+    const std::size_t width = (2 * std::size_t(ctx) + 1) * dim;
+    const std::size_t at = pendingSpliced.size();
+    pendingSpliced.resize(at + width);
     frontend::spliceWindowInto(
         f, total_hint, ctx, dim,
         [this](std::size_t i) -> const std::vector<float> & {
             return rawFeats[i - rawBase];
         },
-        splicedScratch);
-}
-
-void
-StreamingSession::scoreAndFeed(std::size_t f, std::size_t total_hint)
-{
-    auto t0 = std::chrono::steady_clock::now();
-    spliceFrame(f, total_hint);
-
-    if (cfg.deferScoring) {
-        // Park the spliced row for the cross-session batch scorer.
-        pendingSpliced.insert(pendingSpliced.end(),
-                              splicedScratch.begin(),
-                              splicedScratch.end());
-        ++pendingRows_;
-        acousticSeconds += secondsSince(t0);
-        return;
-    }
-
-    likesScratch.resize(model.backend().outputDim() + 1);
-    model.scoreSplicedFrameInto(splicedScratch, likesScratch,
-                                frameScratch);
+        std::span<float>(pendingSpliced).subspan(at, width));
+    ++pendingRows_;
     acousticSeconds += secondsSince(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    search_->streamFrame(likesScratch);
-    searchSeconds += secondsSince(t0);
-    ++framesFed;
 }
 
 std::vector<wfst::WordId>
 StreamingSession::partialWords() const
 {
-    ASR_ASSERT(!finished, "partialWords after finish()");
+    ASR_ASSERT(!finished, "partialWords after flushPending()");
     return search_->streamPartial();
-}
-
-pipeline::RecognitionResult
-StreamingSession::finish()
-{
-    ASR_ASSERT(!cfg.deferScoring,
-               "deferred sessions finish via flushPending + "
-               "consumePendingScores + finalizeFinish");
-    ASR_ASSERT(!finished, "finish() called twice");
-    finished = true;
-
-    drainReadyFrames(/*flush=*/true);
-    return finalizeResult();
 }
 
 std::size_t
@@ -157,7 +122,6 @@ StreamingSession::consumePendingScores(const acoustic::Matrix &logp,
                                        std::size_t base,
                                        double acoustic_seconds)
 {
-    ASR_ASSERT(cfg.deferScoring, "not a deferred session");
     ASR_ASSERT(base + pendingRows_ <= logp.rows(),
                "score matrix too small for pending rows");
     acousticSeconds += acoustic_seconds;
@@ -179,8 +143,7 @@ StreamingSession::consumePendingScores(const acoustic::Matrix &logp,
 void
 StreamingSession::flushPending()
 {
-    ASR_ASSERT(cfg.deferScoring, "not a deferred session");
-    ASR_ASSERT(!finished, "flushPending() after finish");
+    ASR_ASSERT(!finished, "flushPending() called twice");
     finished = true;
     drainReadyFrames(/*flush=*/true);
 }
@@ -188,16 +151,9 @@ StreamingSession::flushPending()
 pipeline::RecognitionResult
 StreamingSession::finalizeFinish()
 {
-    ASR_ASSERT(cfg.deferScoring && finished,
-               "finalizeFinish() before flushPending()");
+    ASR_ASSERT(finished, "finalizeFinish() before flushPending()");
     ASR_ASSERT(pendingRows_ == 0,
                "finalizeFinish() with unscored pending frames");
-    return finalizeResult();
-}
-
-pipeline::RecognitionResult
-StreamingSession::finalizeResult()
-{
     auto t0 = std::chrono::steady_clock::now();
     decoder::DecodeResult decoded = search_->streamFinish();
     searchSeconds += secondsSince(t0);

@@ -3,17 +3,23 @@
  * One streaming decode session: audio in frame-sized chunks, partial
  * hypotheses out, a final RecognitionResult at the end.
  *
- * A session pipelines the three stages incrementally:
+ * A session pipelines the front-end and the search incrementally,
+ * with the DNN in between scored by an external batch scorer
+ * (server::BatchScorer) that coalesces frames across sessions into
+ * one GEMM -- the paper's split of a throughput device scoring
+ * batches while the search consumes them:
  *
  *   pushAudio ──► StreamingMfcc (25 ms windows / 10 ms hop)
- *              ──► context splice + per-frame DNN scoring
- *              ──► frame-synchronous search (search::Backend)
+ *              ──► context splice into the pending-row buffer
+ *   (driver)   ──► exportPending / batched forward
+ *              ──► consumePendingScores: frame-synchronous search
  *
- * A frame is scored as soon as its right DNN context exists, so the
- * decoder lags the audio by contextFrames x 10 ms; finish() flushes
- * the tail with the same edge replication spliceContext uses.  By
- * construction the final result is bit-identical to the batch path
- * (AsrSystem::recognize / decoder.decode over the whole utterance).
+ * A frame is spliced as soon as its right DNN context exists, so the
+ * decoder lags the audio by contextFrames x 10 ms; flushPending()
+ * splices the tail with the same edge replication spliceContext
+ * uses.  Because every backend scores rows independently, the final
+ * result is bit-identical to the offline path (whole-utterance MFCC,
+ * DnnScorer::score, the search backend's decode()).
  *
  * Sessions share one immutable pipeline::AsrModel (never mutated;
  * see model.hh for the thread-safety contract) and privately own all
@@ -51,11 +57,10 @@ namespace asr::server {
 
 /**
  * The per-session search/reproducibility knobs every engine surface
- * shares.  SessionConfig, SchedulerConfig and api::EngineOptions all
- * embed this one struct (by inheritance, so the field names stay
- * flat for existing callers) and hand it down by slice assignment --
- * a new knob added here flows through every layer with no
- * copy-through to forget.
+ * shares.  SessionConfig and api::EngineOptions both embed this one
+ * struct (by inheritance, so the field names stay flat) and hand it
+ * down by slice assignment -- a new knob added here flows through
+ * every layer with no copy-through to forget.
  */
 struct SessionKnobs
 {
@@ -111,21 +116,15 @@ struct SessionConfig : SessionKnobs
 {
     std::uint64_t id = 0;          //!< session id (stats, seeding)
     std::uint64_t baseSeed = 1;    //!< engine-wide base seed
-
-    /**
-     * Deferred scoring: instead of running the DNN inline per frame,
-     * the session parks spliced feature rows in a pending buffer for
-     * an external batch scorer (server::BatchScorer) that coalesces
-     * frames across sessions into one GEMM.  The driver loop becomes
-     *   pushAudio ... / flushPending -> exportPending -> (batched
-     *   forward) -> consumePendingScores -> finalizeFinish.
-     * Results are bit-identical to inline scoring on the float
-     * backends (row-wise forward; see acoustic/backend.hh).
-     */
-    bool deferScoring = false;
 };
 
-/** A single streaming utterance decode over a shared model. */
+/**
+ * A single streaming utterance decode over a shared model.  The
+ * driver loop is
+ *   pushAudio ... / flushPending -> exportPending -> (batched
+ *   forward) -> consumePendingScores -> finalizeFinish,
+ * scoring whatever rows are pending as often as it likes.
+ */
 class StreamingSession
 {
   public:
@@ -142,15 +141,7 @@ class StreamingSession
      */
     std::vector<wfst::WordId> partialWords() const;
 
-    /**
-     * Close the utterance: flush buffered frames, epsilon-close,
-     * backtrack.  The session cannot accept audio afterwards.
-     * Inline-scoring sessions only; deferred sessions close via
-     * flushPending + consumePendingScores + finalizeFinish.
-     */
-    pipeline::RecognitionResult finish();
-
-    // -- Deferred-scoring protocol (cfg.deferScoring only) ----------
+    // -- Scoring protocol --------------------------------------------
 
     /** Spliced frames waiting for the external batch scorer. */
     std::size_t pendingRows() const { return pendingRows_; }
@@ -175,14 +166,14 @@ class StreamingSession
                               double acoustic_seconds);
 
     /**
-     * Deferred finish, step 1: no more audio; flush-splice the tail
-     * frames (edge replication) into the pending buffer.
+     * Finish, step 1: no more audio; flush-splice the tail frames
+     * (edge replication) into the pending buffer.
      */
     void flushPending();
 
     /**
-     * Deferred finish, step 2 (requires pendingRows() == 0):
-     * epsilon-close, backtrack, return the final result.
+     * Finish, step 2 (requires pendingRows() == 0): epsilon-close,
+     * backtrack, return the final result.
      */
     pipeline::RecognitionResult finalizeFinish();
 
@@ -198,17 +189,12 @@ class StreamingSession
     Rng &rng() { return rng_; }
 
   private:
-    /** Score+feed every frame whose context allows it. */
+    /** Park every frame whose context allows it as a pending row. */
     void drainReadyFrames(bool flush);
 
-    /** Score raw feature frame @p f (with edge-clamped context). */
-    void scoreAndFeed(std::size_t f, std::size_t total_hint);
-
-    /** Splice frame @p f into splicedScratch (edge-clamped context). */
-    void spliceFrame(std::size_t f, std::size_t total_hint);
-
-    /** Assemble the final RecognitionResult (streamFinish + stats). */
-    pipeline::RecognitionResult finalizeResult();
+    /** Append raw feature frame @p f, spliced with edge-clamped
+     *  context, to the pending rows. */
+    void parkFrame(std::size_t f, std::size_t total_hint);
 
     const pipeline::AsrModel &model;
     SessionConfig cfg;
@@ -227,25 +213,21 @@ class StreamingSession
      * utterances near the watermark in practice (beam paths merge,
      * so live chains share one backbone) -- but the *live* trace
      * still grows with hypothesis length, and the accelerator
-     * backend never collects, so sessions should still finish() at
+     * backend never collects, so sessions should still finish at
      * utterance boundaries rather than stream forever.
      */
     std::deque<std::vector<float>> rawFeats;
     std::size_t rawBase = 0;
-    std::size_t scoredUpTo = 0;        //!< frames fed to the decoder
+    std::size_t splicedUpTo = 0;       //!< frames parked as rows
     std::uint64_t framesFed = 0;
     bool finished = false;
 
-    // Per-frame scratch, reused so steady-state scoring allocates
-    // nothing: the spliced context window, the likelihood row handed
-    // to the search, and the backend's activation buffers.
-    std::vector<float> splicedScratch;
+    /** The likelihood row handed to the search, reused per frame. */
     std::vector<float> likesScratch;
-    acoustic::FrameScratch frameScratch;
 
     /**
-     * Deferred mode: spliced rows (pendingRows_ x splicedDim, row
-     * major) waiting for the external batch scorer.
+     * Spliced rows (pendingRows_ x splicedDim, row major) waiting
+     * for the external batch scorer.
      */
     std::vector<float> pendingSpliced;
     std::size_t pendingRows_ = 0;

@@ -2,10 +2,11 @@
  * @file
  * Backend equivalence tests: the blocked float backend must reproduce
  * the reference bit-for-bit across shapes (including tile-tail
- * dimensions and context-splice edge frames), the streaming-frame
- * entry point must equal the corresponding batch row on every
- * backend, and the int8 backend must stay within bounded score error
- * of the float paths.
+ * dimensions and context-splice edge frames), every backend must
+ * score rows independently (any subset of a batch's rows scores to
+ * exactly those rows of the full batch -- the contract cross-session
+ * batching rests on), and the int8 backend must stay within bounded
+ * score error of the float paths.
  *
  * The AVX2 variants have their own contracts: blocked must stay
  * bitwise on its AVX2 kernel and on the scalar fallback alike;
@@ -20,6 +21,7 @@
  * the items run on, and must engage exactly from the split floor.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <thread>
@@ -198,24 +200,56 @@ TEST(BackendEquivalence, BlockedMatchesReferenceBitExactForcedScalar)
     expectBlockedMatchesReference();
 }
 
-TEST(BackendEquivalence, ScoreFrameMatchesBatchRow)
+TEST(BackendEquivalence, ScoreBatchRowsAreIndependent)
 {
-    const Dnn net = makeNet(21, {19, 11}, 9, 77);
-    const Matrix input = randomInput(6, 21, 5);
-    for (auto kind :
-         {BackendKind::Reference, BackendKind::Blocked,
-          BackendKind::BlockedAvx2, BackendKind::Int8,
-          BackendKind::Int8Avx2}) {
-        const auto backend = Backend::create(kind, net);
-        const Matrix batch = backend->scoreBatch(input);
-        FrameScratch scratch;
-        std::vector<float> out(backend->outputDim());
-        for (std::size_t r = 0; r < input.rows(); ++r) {
-            backend->scoreFrame(input.row(r), out, scratch);
-            for (std::size_t c = 0; c < out.size(); ++c)
-                ASSERT_EQ(out[c], batch.at(r, c))
-                    << backendName(kind) << " row " << r << " col "
-                    << c;
+    // Cross-session batching scores a session's frames in whatever
+    // batch the tick assembles, and the offline pass scores them all
+    // at once; both must give the same bits.  So scoring any subset
+    // of rows, in any order, must reproduce exactly those rows of the
+    // full batch.  The shape has tile tails on every layer, and the
+    // subsets cover the 3-row register-block remainders, single
+    // rows, a stride and a reversal -- on every backend, on its
+    // dispatched kernel and on the scalar fallback.
+    const Dnn net = makeBiasedNet(21, {40, 19}, 37, 77);
+    const Matrix full = randomInput(35, 21, 5);
+
+    std::vector<std::vector<std::size_t>> subsets;
+    for (std::size_t len : {1u, 2u, 3u, 4u, 5u, 7u, 32u, 33u, 34u}) {
+        for (std::size_t first : {std::size_t(0), full.rows() - len}) {
+            std::vector<std::size_t> rows(len);
+            for (std::size_t i = 0; i < len; ++i)
+                rows[i] = first + i;
+            subsets.push_back(std::move(rows));
+        }
+    }
+    std::vector<std::size_t> strided, reversed;
+    for (std::size_t r = 1; r < full.rows(); r += 3)
+        strided.push_back(r);
+    for (std::size_t r = full.rows(); r-- > 0;)
+        reversed.push_back(r);
+    subsets.push_back(strided);
+    subsets.push_back(reversed);
+
+    for (const bool forceScalar : {false, true}) {
+        const ScalarOverrideGuard guard(forceScalar);
+        for (const BackendKind kind : kAllKinds) {
+            const auto backend = Backend::create(kind, net);
+            const Matrix want = backend->scoreBatch(full);
+            for (const auto &rows : subsets) {
+                Matrix part(rows.size(), full.cols());
+                for (std::size_t i = 0; i < rows.size(); ++i)
+                    std::copy(full.row(rows[i]).begin(),
+                              full.row(rows[i]).end(),
+                              part.row(i).begin());
+                const Matrix got = backend->scoreBatch(part);
+                for (std::size_t i = 0; i < rows.size(); ++i)
+                    for (std::size_t c = 0; c < got.cols(); ++c)
+                        ASSERT_EQ(got.at(i, c), want.at(rows[i], c))
+                            << backendName(kind) << " scalar="
+                            << forceScalar << " subset of "
+                            << rows.size() << " rows, row " << rows[i]
+                            << " col " << c;
+            }
         }
     }
 }

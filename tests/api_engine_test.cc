@@ -1,28 +1,29 @@
 /**
  * @file
  * Tests for the unified streaming engine (api::Engine): one public
- * path for one-shot, live-streaming and batch-scored serving.
+ * path for one-shot and live-streaming serving, and one execution
+ * path (the batch coordinator) behind it.
  *
- *  - Bit-identity: a live stream pushed in arbitrary chunks, a
- *    one-shot submit, the legacy AsrSystem facade and the legacy
- *    DecodeScheduler all produce the same words/score, in both
- *    per-session and batch-scoring mode.
+ *  - Bit-identity: a live stream pushed in arbitrary chunks and a
+ *    one-shot submit both produce the offline pipeline's words and
+ *    score, at any thread count.
  *  - Stream lifecycle edges: cancel mid-utterance (and while still
  *    queued), push-after-finish rejected, zero-frame streams,
- *    double-finish discipline, per-session capacity rejection,
- *    destruction with open + finishing streams in both modes.
- *  - Concurrency: >= 8 interleaved live streams over a small worker
- *    pool in batch mode (TSan runs this via the concurrency label),
+ *    double-finish discipline, destruction with open + finishing
+ *    streams.
+ *  - Concurrency: >= 8 interleaved live streams over a small thread
+ *    pool (TSan runs this via the concurrency label),
  *    with live frames provably reaching the cross-session batch
  *    scorer (mean batch rows > 1); a batch GEMM split across the
  *    stage threads matches a 1-thread engine bit for bit.
  *  - Options validation: unknown search/acoustic backend names are
- *    rejected with diagnostics listing the registered ones.
+ *    rejected with diagnostics listing the registered ones, and the
+ *    removed per-session mode cannot be selected.
  *  - EngineStats: time-to-first-partial is recorded and rendered.
  *  - Deadlines: the watchdog forecloses abandoned streams at their
  *    StreamOptions::deadlineMs, bounds the finish wait, never fires
  *    on prompt streams, and survives a three-way cancel vs deadline
- *    vs finish race in both engine modes (TSan-checked in CI).
+ *    vs finish race (TSan-checked in CI).
  */
 
 #include <atomic>
@@ -40,8 +41,7 @@
 #include "api/engine.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "pipeline/asr_system.hh"
-#include "server/scheduler.hh"
+#include "offline_reference.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -142,52 +142,26 @@ pipeline::AsrModel *ApiEngineTest::model = nullptr;
 TEST_F(ApiEngineTest, LiveStreamMatchesOneShotForAnyChunking)
 {
     const frontend::AudioSignal audio = testAudio(7);
-    for (const bool batched : {false, true}) {
+    const auto offline = test::offlineDecode(*model, audio);
+    for (const unsigned threads : {1u, 2u, 4u}) {
         EngineOptions opts;
-        opts.numThreads = 2;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
         Engine engine(*model, opts);
 
         const auto oneShot = engine.recognize(audio);
+        EXPECT_EQ(oneShot.words, offline.words) << threads;
+        EXPECT_EQ(oneShot.score, offline.score) << threads;
         for (const std::size_t chunk :
-             {std::size_t(160), std::size_t(997),
+             {std::size_t(1), std::size_t(160), std::size_t(997),
               std::size_t(1) << 20}) {
             const auto streamed =
                 streamThrough(engine, audio, chunk);
-            EXPECT_EQ(streamed.words, oneShot.words)
-                << "chunk " << chunk << " batched " << batched;
-            EXPECT_EQ(streamed.score, oneShot.score)
-                << "chunk " << chunk << " batched " << batched;
+            EXPECT_EQ(streamed.words, offline.words)
+                << "chunk " << chunk << " threads " << threads;
+            EXPECT_EQ(streamed.score, offline.score)
+                << "chunk " << chunk << " threads " << threads;
         }
     }
-}
-
-TEST_F(ApiEngineTest, LegacySurfacesAreBitIdenticalShims)
-{
-    const frontend::AudioSignal audio = testAudio(11);
-
-    // The reference: the unified engine over the shared model.
-    EngineOptions opts;
-    Engine engine(*model, opts);
-    const auto want = engine.recognize(audio);
-
-    // DecodeScheduler is a shim over an identically-configured
-    // engine: same bits, by construction *and* by assertion.
-    server::SchedulerConfig scfg;
-    server::DecodeScheduler scheduler(*model, scfg);
-    const auto viaScheduler = scheduler.submit(audio).get();
-    EXPECT_EQ(viaScheduler.words, want.words);
-    EXPECT_EQ(viaScheduler.score, want.score);
-
-    // AsrSystem trains its own model from the same config and seed,
-    // so its (deterministic) training lands on the same weights and
-    // its shimmed recognize() must reproduce the same bits.
-    pipeline::AsrSystemConfig mcfg = modelConfig();
-    mcfg.useAccelerator = false;
-    pipeline::AsrSystem system(*net, mcfg);
-    const auto viaSystem = system.recognize(audio);
-    EXPECT_EQ(viaSystem.words, want.words);
-    EXPECT_EQ(viaSystem.score, want.score);
 }
 
 TEST_F(ApiEngineTest, SearchBackendNameSelectsTheBackend)
@@ -218,6 +192,15 @@ TEST_F(ApiEngineTest, SearchBackendNameSelectsTheBackend)
     EXPECT_EQ(r_hw.words, r_sw.words);
     EXPECT_NEAR(r_hw.score, r_sw.score, 1e-3f);
     EXPECT_GT(r_hw.accelStats.cycles, 0u);
+
+    // Each engine reproduces its own backend's offline decode.
+    for (const auto &[opts, got] :
+         {std::pair{viterbi, r_sw}, std::pair{baseline, r_base},
+          std::pair{accel, r_hw}}) {
+        const auto want = test::offlineDecode(*model, audio, opts);
+        EXPECT_EQ(got.words, want.words) << opts.searchBackend;
+        EXPECT_EQ(got.score, want.score) << opts.searchBackend;
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -227,13 +210,11 @@ TEST_F(ApiEngineTest, SearchBackendNameSelectsTheBackend)
 TEST_F(ApiEngineTest, CancelMidUtteranceAbandonsOnlyThatStream)
 {
     const frontend::AudioSignal audio = testAudio(17);
-    for (const bool batched : {false, true}) {
+    const auto reference = test::offlineDecode(*model, audio);
+    for (const unsigned threads : {1u, 2u, 4u}) {
         EngineOptions opts;
-        opts.numThreads = 2;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
         Engine engine(*model, opts);
-
-        const auto reference = engine.recognize(audio);
 
         const StreamHandle doomed = engine.open();
         const StreamHandle kept = engine.open();
@@ -266,13 +247,14 @@ TEST_F(ApiEngineTest, CancelMidUtteranceAbandonsOnlyThatStream)
                 kept, std::span<const float>(s.data() + base, len)));
         }
         const auto survived = engine.finish(kept).get();
-        EXPECT_EQ(survived.words, reference.words) << batched;
-        EXPECT_EQ(survived.score, reference.score) << batched;
+        EXPECT_EQ(survived.words, reference.words) << threads;
+        EXPECT_EQ(survived.score, reference.score) << threads;
         EXPECT_EQ(engine.state(kept), StreamState::Done);
 
         // And the engine still serves one-shots afterwards.
         const auto after = engine.recognize(audio);
         EXPECT_EQ(after.words, reference.words);
+        EXPECT_EQ(after.score, reference.score);
     }
 }
 
@@ -303,43 +285,40 @@ TEST_F(ApiEngineTest, PushAfterFinishIsRejected)
 
 TEST_F(ApiEngineTest, ZeroFrameStream)
 {
-    for (const bool batched : {false, true}) {
-        EngineOptions opts;
-        opts.batchScoring = batched;
-        Engine engine(*model, opts);
+    EngineOptions opts;
+    Engine engine(*model, opts);
 
-        // finish() immediately after open(): no audio at all.
-        const StreamHandle empty = engine.open();
-        const auto r = engine.finish(empty).get();
-        EXPECT_TRUE(r.words.empty());
-        EXPECT_EQ(r.audioSeconds, 0.0);
+    // finish() immediately after open(): no audio at all.
+    const StreamHandle empty = engine.open();
+    const auto r = engine.finish(empty).get();
+    EXPECT_TRUE(r.words.empty());
+    EXPECT_EQ(r.audioSeconds, 0.0);
+    EXPECT_EQ(r.searchStats.framesDecoded, 0u);
 
-        // A push shorter than one analysis window: zero frames too.
-        const StreamHandle tiny = engine.open();
-        const std::vector<float> blip(399, 0.01f);
-        EXPECT_TRUE(engine.push(tiny, blip));
-        const auto r2 = engine.finish(tiny).get();
-        EXPECT_TRUE(r2.words.empty());
-        EXPECT_GT(r2.audioSeconds, 0.0);
-    }
+    // A push shorter than one analysis window: zero frames too.
+    const StreamHandle tiny = engine.open();
+    const std::vector<float> blip(399, 0.01f);
+    EXPECT_TRUE(engine.push(tiny, blip));
+    const auto r2 = engine.finish(tiny).get();
+    EXPECT_TRUE(r2.words.empty());
+    EXPECT_GT(r2.audioSeconds, 0.0);
+    EXPECT_EQ(r2.searchStats.framesDecoded, 0u);
 }
 
 TEST_F(ApiEngineTest, DestructionCancelsOpenStreams)
 {
-    // Both scheduling modes: per-session (a dedicated worker parked
-    // on the stream's condvar) and batch (coordinator + stage
-    // workers mid-tick on the cancelled sessions -- the shutdown
-    // ordering that once could deadlock the destructor's join() when
-    // stage workers honoured stageStop with a generation pending).
+    // The coordinator + stage workers are mid-tick on the cancelled
+    // sessions -- the shutdown ordering that once could deadlock the
+    // destructor's join() when stage workers honoured stageStop with
+    // a generation pending.
     const frontend::AudioSignal audio = testAudio(23);
-    for (const bool batched : {false, true}) {
+    for (const unsigned threads : {1u, 3u}) {
         // Destroy while streams are Open with work still queued: the
-        // engine is mid-decode (batch mode: mid-tick) when the
-        // destructor cancels them, so drain() has nothing to wait
-        // for and shutdown races the in-flight stage machinery.
+        // engine is mid-tick when the destructor cancels them, so
+        // drain() has nothing to wait for and shutdown races the
+        // in-flight stage machinery.
         EngineOptions opts;
-        opts.numThreads = 3;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
         {
             Engine engine(*model, opts);
             const StreamHandle open1 = engine.open();
@@ -370,54 +349,21 @@ TEST_F(ApiEngineTest, DestructionCancelsOpenStreams)
             EXPECT_TRUE(engine.push(open2, audio.samples));
             finishing = engine.finish(open2);
         }
-        ASSERT_TRUE(finishing.valid()) << "batched " << batched;
+        ASSERT_TRUE(finishing.valid()) << "threads " << threads;
         const auto r = finishing.get();
-        EXPECT_GT(r.audioSeconds, 0.0) << "batched " << batched;
+        EXPECT_GT(r.audioSeconds, 0.0) << "threads " << threads;
     }
-}
-
-TEST_F(ApiEngineTest, OpenBeyondPerSessionCapacityIsRejected)
-{
-    // Per-session mode dedicates one worker per live stream; the
-    // stream that would exceed the pool gets an invalid handle (a
-    // recoverable condition for a server shedding load, not process
-    // death), and every operation on it degrades cleanly.
-    EngineOptions opts;
-    opts.numThreads = 2;
-    Engine engine(*model, opts);
-    const frontend::AudioSignal audio = testAudio(43);
-
-    const StreamHandle a = engine.open();
-    const StreamHandle b = engine.open();
-    EXPECT_NE(a.value, 0u);
-    EXPECT_NE(b.value, 0u);
-    const StreamHandle overflow = engine.open();
-    EXPECT_EQ(overflow.value, 0u);
-    EXPECT_FALSE(engine.push(overflow, audio.samples));
-    EXPECT_FALSE(engine.finish(overflow).valid());
-    EXPECT_FALSE(engine.cancel(overflow));
-
-    // Retiring a stream frees its slot for a fresh open().
-    EXPECT_TRUE(engine.cancel(a));
-    const StreamHandle reopened = engine.open();
-    EXPECT_NE(reopened.value, 0u);
-    EXPECT_TRUE(engine.push(reopened, audio.samples));
-    const auto r = engine.finish(reopened).get();
-    EXPECT_GT(r.audioSeconds, 0.0);
-    EXPECT_TRUE(engine.cancel(b));
 }
 
 TEST_F(ApiEngineTest, InvalidHandleContractCoversEveryAccessor)
 {
     // The documented StreamHandle contract (engine.hh): value 0 is
     // never issued, and every accessor degrades cleanly on invalid,
-    // never-issued, or terminal handles -- in both engine modes.
+    // never-issued, or terminal handles.
     const frontend::AudioSignal audio = testAudio(61, 3);
-    for (const bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "batch" : "per-session");
+    {
         EngineOptions opts;
         opts.numThreads = 2;
-        opts.batchScoring = batched;
         Engine engine(*model, opts);
 
         const StreamHandle defaulted;  // value == 0
@@ -451,34 +397,27 @@ TEST_F(ApiEngineTest, InvalidHandleContractCoversEveryAccessor)
 
 TEST_F(ApiEngineTest, OpenStatusDistinguishesFailures)
 {
-    // The two open() rejections need different remedies -- Capacity
-    // clears when a slot frees, InvalidOptions never does -- so a
-    // server shedding load must be able to tell them apart without
-    // parsing log text.
+    // A rejected open() must be machine-readable -- a server maps it
+    // to a hard ERROR without parsing log text -- and must not stop
+    // the engine admitting well-formed streams.
     EngineOptions opts;
     opts.numThreads = 1;
     Engine engine(*model, opts);
 
+    // Any number of streams open on one thread: the coordinator
+    // multiplexes them.
     api::OpenStatus status = api::OpenStatus::InvalidOptions;
-    const StreamHandle a = engine.open(api::StreamOptions(), status);
-    ASSERT_NE(a.value, 0u);
-    EXPECT_EQ(status, api::OpenStatus::Ok);
+    std::vector<StreamHandle> opened;
+    for (int i = 0; i < 4; ++i) {
+        opened.push_back(engine.open(api::StreamOptions(), status));
+        ASSERT_NE(opened.back().value, 0u);
+        EXPECT_EQ(status, api::OpenStatus::Ok);
+    }
+    for (const StreamHandle h : opened)
+        EXPECT_TRUE(engine.cancel(h));
 
-    // Per-session mode with one worker: the next open is Capacity,
-    // and recoverably so.
-    const StreamHandle overflow =
-        engine.open(api::StreamOptions(), status);
-    EXPECT_EQ(overflow.value, 0u);
-    EXPECT_EQ(status, api::OpenStatus::Capacity);
-    EXPECT_TRUE(engine.cancel(a));
-    const StreamHandle retried =
-        engine.open(api::StreamOptions(), status);
-    EXPECT_NE(retried.value, 0u);
-    EXPECT_EQ(status, api::OpenStatus::Ok);
-    EXPECT_TRUE(engine.cancel(retried));
-
-    // Structurally bad options are permanent, not capacity: wake-word
-    // gating without the endpointer it requires...
+    // Structurally bad options are permanent: wake-word gating
+    // without the endpointer it requires...
     api::StreamOptions gated;
     gated.wakeWord.assign(1600, 0.0f);
     const StreamHandle bad1 = engine.open(gated, status);
@@ -502,13 +441,12 @@ TEST_F(ApiEngineTest, OpenStatusDistinguishesFailures)
 TEST_F(ApiEngineTest, PushForTimesOutInsteadOfBlocking)
 {
     // An event loop cannot afford push()'s unbounded wait on a full
-    // chunk queue.  Batch mode with maxBatchSessions=1 makes the
-    // stall deterministic: stream A is admitted (admission is sticky
+    // chunk queue.  maxBatchSessions=1 makes the stall
+    // deterministic: stream A is admitted (admission is sticky
     // until a stream retires), so stream B's inbound queue never
     // drains and fills after maxQueuedChunks chunks.
     EngineOptions opts;
     opts.numThreads = 1;
-    opts.batchScoring = true;
     opts.maxBatchSessions = 1;
     opts.maxQueuedChunks = 4;
     Engine engine(*model, opts);
@@ -567,7 +505,6 @@ TEST_F(ApiEngineTest, EvictedHandleNeverAliasesALaterStream)
     const frontend::AudioSignal audio = testAudio(97, 3);
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     opts.retiredHandleCap = 4;
     Engine engine(*model, opts);
 
@@ -614,7 +551,6 @@ TEST_F(ApiEngineTest, CancelWhileQueuedInBatchMode)
     // healthy for real work.
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     for (int i = 0; i < 32; ++i) {
         const StreamHandle h = engine.open();
@@ -635,18 +571,14 @@ TEST_F(ApiEngineTest, LiveStreamsReachTheBatchScorer)
 {
     // The acceptance gate of the unified API: two concurrent live
     // clients must coalesce into cross-session GEMM batches (mean
-    // batch rows > 1), while reproducing the per-session bits.
+    // batch rows > 1), while reproducing the offline bits.
     const frontend::AudioSignal a = testAudio(29);
     const frontend::AudioSignal b = testAudio(31);
-
-    EngineOptions plain;
-    Engine ref(*model, plain);
-    const auto want_a = ref.recognize(a);
-    const auto want_b = ref.recognize(b);
+    const auto want_a = test::offlineDecode(*model, a);
+    const auto want_b = test::offlineDecode(*model, b);
 
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     const StreamHandle ha = engine.open();
     const StreamHandle hb = engine.open();
@@ -682,23 +614,21 @@ TEST_F(ApiEngineTest, LiveStreamsReachTheBatchScorer)
 
 TEST_F(ApiEngineTest, EightInterleavedLiveStreams)
 {
-    // >= 8 concurrent live clients over a 3-thread batched engine:
+    // >= 8 concurrent live clients over a 3-thread engine:
     // interleaved pushes from client threads, partial polling from
-    // the driver, per-stream results bit-identical to solo decodes.
+    // the driver, per-stream results bit-identical to offline
+    // decodes.
     constexpr unsigned kStreams = 8;
     std::vector<frontend::AudioSignal> corpus;
     for (unsigned u = 0; u < kStreams; ++u)
         corpus.push_back(testAudio(200 + u, 4 + u % 3));
 
-    EngineOptions plain;
-    Engine ref(*model, plain);
-    std::vector<pipeline::RecognitionResult> want;
+    std::vector<decoder::DecodeResult> want;
     for (unsigned u = 0; u < kStreams; ++u)
-        want.push_back(ref.recognize(corpus[u]));
+        want.push_back(test::offlineDecode(*model, corpus[u]));
 
     EngineOptions opts;
     opts.numThreads = 3;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
 
     std::vector<StreamHandle> handles(kStreams);
@@ -748,10 +678,11 @@ TEST_F(ApiEngineTest, EightInterleavedLiveStreams)
 TEST_F(ApiEngineTest, GemmSplitAcrossStageThreadsIsBitIdentical)
 {
     // A DNN wide enough that a tick's first layer passes the GEMM
-    // split floor, so a 3-thread batch engine deals that layer's work
-    // items to its stage workers (TSan covers the cross-thread
-    // writes via the concurrency label).  The 1-thread engine scores
-    // the same ticks serially; the results must match bit for bit.
+    // split floor, so a 3-thread engine deals that layer's work items
+    // to its stage workers (TSan covers the cross-thread writes via
+    // the concurrency label).  The 1-thread engine scores the same
+    // ticks serially; both must match the offline pipeline bit for
+    // bit.
     // Accuracy does not matter here, so training is minimal.
     pipeline::AsrSystemConfig mcfg = modelConfig();
     mcfg.hiddenLayers = {1024};
@@ -767,8 +698,7 @@ TEST_F(ApiEngineTest, GemmSplitAcrossStageThreadsIsBitIdentical)
     const auto runAll = [&](unsigned threads) {
         EngineOptions opts;
         opts.numThreads = threads;
-        opts.batchScoring = true;
-        Engine engine(wide, opts);
+            Engine engine(wide, opts);
         std::vector<std::future<pipeline::RecognitionResult>> futures;
         for (const frontend::AudioSignal &audio : corpus)
             futures.push_back(engine.submit(audio));
@@ -783,12 +713,16 @@ TEST_F(ApiEngineTest, GemmSplitAcrossStageThreadsIsBitIdentical)
             << threads << "-thread engine";
         return results;
     };
-    const auto want = runAll(1);
-    const auto got = runAll(3);
-    ASSERT_EQ(got.size(), want.size());
+    const auto serial = runAll(1);
+    const auto split = runAll(3);
+    ASSERT_EQ(serial.size(), kUtterances);
+    ASSERT_EQ(split.size(), kUtterances);
     for (unsigned u = 0; u < kUtterances; ++u) {
-        EXPECT_EQ(got[u].words, want[u].words) << "utterance " << u;
-        EXPECT_EQ(got[u].score, want[u].score) << "utterance " << u;
+        const auto want = test::offlineDecode(wide, corpus[u]);
+        EXPECT_EQ(serial[u].words, want.words) << "utterance " << u;
+        EXPECT_EQ(serial[u].score, want.score) << "utterance " << u;
+        EXPECT_EQ(split[u].words, want.words) << "utterance " << u;
+        EXPECT_EQ(split[u].score, want.score) << "utterance " << u;
     }
 }
 
@@ -854,7 +788,8 @@ TEST_F(ApiEngineTest, ValidateRejectsUnknownBackendsListingKnown)
     const std::string acousticErr = opts.validate();
     ASSERT_FALSE(acousticErr.empty());
     EXPECT_NE(acousticErr.find("float128"), std::string::npos);
-    for (const char *name : {"reference", "blocked", "int8"})
+    for (const char *name :
+         {"reference", "blocked", "blocked-avx2", "int8", "int8-avx2"})
         EXPECT_NE(acousticErr.find(name), std::string::npos) << name;
 
     opts.acousticBackend = "blocked";
@@ -865,6 +800,21 @@ TEST_F(ApiEngineTest, ValidateRejectsUnknownBackendsListingKnown)
     legacy.useAccelerator = true;
     EXPECT_EQ(legacy.effectiveSearchBackend(), "accel");
     EXPECT_TRUE(legacy.validate().empty());
+}
+
+TEST_F(ApiEngineTest, ValidateRejectsPerSessionMode)
+{
+    // The batch coordinator is the engine's only execution path; the
+    // field that once selected per-session mode must stay true.
+    EngineOptions opts;
+    EXPECT_TRUE(opts.batchScoring);
+    EXPECT_TRUE(opts.validate().empty());
+    opts.batchScoring = false;
+    const std::string err = opts.validate();
+    ASSERT_FALSE(err.empty());
+    EXPECT_NE(err.find("per-session mode was removed"),
+              std::string::npos)
+        << err;
 }
 
 TEST_F(ApiEngineTest, StatsAndDrainCoverAllEntryStyles)
@@ -894,10 +844,9 @@ TEST_F(ApiEngineTest, StatsAndDrainCoverAllEntryStyles)
 
 TEST_F(ApiEngineTest, DeadlineForeclosesAnAbandonedOpenStream)
 {
-    for (const bool batched : {false, true}) {
+    for (const unsigned threads : {1u, 2u}) {
         EngineOptions opts;
-        opts.numThreads = 2;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
         Engine engine(*model, opts);
 
         api::StreamOptions sopts;
@@ -915,7 +864,7 @@ TEST_F(ApiEngineTest, DeadlineForeclosesAnAbandonedOpenStream)
                std::chrono::steady_clock::now() < give_up)
             std::this_thread::sleep_for(std::chrono::milliseconds(2));
         EXPECT_EQ(engine.state(h), StreamState::Cancelled)
-            << "batched=" << batched;
+            << "threads=" << threads;
         EXPECT_TRUE(engine.deadlineExpired(h));
         EXPECT_FALSE(engine.push(h, audio.samples));
         EXPECT_GE(engine.stats().deadlinesExpired, 1u);
@@ -926,10 +875,9 @@ TEST_F(ApiEngineTest, DeadlineForeclosesAnAbandonedOpenStream)
 TEST_F(ApiEngineTest, PromptFinishBeatsItsDeadline)
 {
     const frontend::AudioSignal audio = testAudio(107);
-    for (const bool batched : {false, true}) {
+    for (const unsigned threads : {1u, 2u}) {
         EngineOptions opts;
-        opts.numThreads = 2;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
 
         // Reference without a deadline (fresh engine: session id 0).
         pipeline::RecognitionResult want;
@@ -944,7 +892,7 @@ TEST_F(ApiEngineTest, PromptFinishBeatsItsDeadline)
         const StreamHandle h = engine.open(sopts);
         engine.push(h, audio.samples);
         const pipeline::RecognitionResult got = engine.finish(h).get();
-        EXPECT_EQ(got.words, want.words) << "batched=" << batched;
+        EXPECT_EQ(got.words, want.words) << "threads=" << threads;
         EXPECT_EQ(got.score, want.score);
         EXPECT_FALSE(engine.deadlineExpired(h));
         EXPECT_EQ(engine.stats().deadlinesExpired, 0u);
@@ -958,10 +906,9 @@ TEST_F(ApiEngineTest, DeadlineBoundsTheFinishWait)
     // stream marked expired).  Either is legal; an unresolved future
     // or a wedge is not.
     const frontend::AudioSignal audio = testAudio(109, 8);
-    for (const bool batched : {false, true}) {
+    for (const unsigned threads : {1u, 2u}) {
         EngineOptions opts;
-        opts.numThreads = 2;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
         Engine engine(*model, opts);
 
         api::StreamOptions sopts;
@@ -973,7 +920,7 @@ TEST_F(ApiEngineTest, DeadlineBoundsTheFinishWait)
         ASSERT_TRUE(future.valid());
         ASSERT_EQ(future.wait_for(std::chrono::seconds(10)),
                   std::future_status::ready)
-            << "batched=" << batched;
+            << "threads=" << threads;
         const pipeline::RecognitionResult result = future.get();
         if (engine.deadlineExpired(h)) {
             EXPECT_TRUE(result.words.empty());
@@ -989,78 +936,65 @@ TEST_F(ApiEngineTest, CancelDeadlineFinishRaceNeverWedges)
     // 1..20 ms straddling the decode time.  Any interleaving of the
     // three terminations is legal; the assertions are that every
     // valid finish future resolves, terminal states are consistent,
-    // and drain() completes (no slot leaks, no wedge).  The
-    // concurrency label runs this under TSan in CI.
+    // and drain() completes (no outstanding-result leaks, no wedge).
+    // The concurrency label runs this under TSan in CI.
     constexpr unsigned kStreams = 24;
     const frontend::AudioSignal audio = testAudio(113, 4);
-    for (const bool batched : {false, true}) {
+    for (const unsigned threads : {1u, 3u}) {
         EngineOptions opts;
-        opts.numThreads = 3;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
         Engine engine(*model, opts);
 
-        // Per-session mode caps concurrent streams at numThreads, so
-        // run the 24 racing streams in waves of the mode's capacity.
-        const unsigned wave = batched ? kStreams : opts.numThreads;
-        for (unsigned base = 0; base < kStreams; base += wave) {
-            const unsigned n = std::min(wave, kStreams - base);
-            std::vector<StreamHandle> handles(n);
-            for (unsigned i = 0; i < n; ++i) {
-                api::StreamOptions sopts;
-                sopts.deadlineMs = 1 + (base + i) % 20;
-                handles[i] = engine.open(sopts);
-                ASSERT_NE(handles[i].value, 0u)
-                    << "batched=" << batched;
-            }
+        std::vector<StreamHandle> handles(kStreams);
+        for (unsigned i = 0; i < kStreams; ++i) {
+            api::StreamOptions sopts;
+            sopts.deadlineMs = 1 + i % 20;
+            handles[i] = engine.open(sopts);
+            ASSERT_NE(handles[i].value, 0u) << "threads=" << threads;
+        }
 
-            std::vector<std::future<pipeline::RecognitionResult>>
-                futures(n);
-            std::thread finisher([&] {
-                for (unsigned i = 0; i < n; ++i) {
-                    engine.push(
-                        handles[i],
-                        std::span<const float>(audio.samples.data(),
-                                               1600));
-                    if (i % 3 != 2)
-                        futures[i] = engine.finish(handles[i]);
-                }
-            });
-            std::thread canceller([&] {
-                for (unsigned i = 0; i < n; ++i) {
-                    if (i % 2 == 0)
-                        engine.cancel(handles[i]);
-                    if (i % 5 == 0)
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(1));
-                }
-            });
-            finisher.join();
-            canceller.join();
-
-            for (unsigned i = 0; i < n; ++i) {
-                if (!futures[i].valid())
-                    continue;
-                ASSERT_EQ(
-                    futures[i].wait_for(std::chrono::seconds(10)),
-                    std::future_status::ready)
-                    << "stream " << base + i
-                    << " batched=" << batched;
-                futures[i].get();
+        std::vector<std::future<pipeline::RecognitionResult>> futures(
+            kStreams);
+        std::thread finisher([&] {
+            for (unsigned i = 0; i < kStreams; ++i) {
+                engine.push(handles[i],
+                            std::span<const float>(audio.samples.data(),
+                                                   1600));
+                if (i % 3 != 2)
+                    futures[i] = engine.finish(handles[i]);
             }
-            // Every stream must leave Open -- by cancel, finish, or
-            // its deadline (at most 20 ms out); waiting also frees
-            // the per-session slots for the next wave.
-            const auto give_up = std::chrono::steady_clock::now() +
-                                 std::chrono::seconds(10);
-            for (unsigned i = 0; i < n; ++i) {
-                while (engine.state(handles[i]) == StreamState::Open &&
-                       std::chrono::steady_clock::now() < give_up)
+        });
+        std::thread canceller([&] {
+            for (unsigned i = 0; i < kStreams; ++i) {
+                if (i % 2 == 0)
+                    engine.cancel(handles[i]);
+                if (i % 5 == 0)
                     std::this_thread::sleep_for(
                         std::chrono::milliseconds(1));
-                EXPECT_NE(engine.state(handles[i]),
-                          StreamState::Open)
-                    << base + i << " batched=" << batched;
             }
+        });
+        finisher.join();
+        canceller.join();
+
+        for (unsigned i = 0; i < kStreams; ++i) {
+            if (!futures[i].valid())
+                continue;
+            ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(10)),
+                      std::future_status::ready)
+                << "stream " << i << " threads=" << threads;
+            futures[i].get();
+        }
+        // Every stream must leave Open -- by cancel, finish, or its
+        // deadline (at most 20 ms out).
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        for (unsigned i = 0; i < kStreams; ++i) {
+            while (engine.state(handles[i]) == StreamState::Open &&
+                   std::chrono::steady_clock::now() < give_up)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            EXPECT_NE(engine.state(handles[i]), StreamState::Open)
+                << i << " threads=" << threads;
         }
         engine.drain();
     }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/bits.hh"
+#include "common/cli.hh"
 #include "common/cpuinfo.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
@@ -222,4 +223,26 @@ TEST(Table, RendersAlignedColumns)
     EXPECT_NE(out.find("1.87x"), std::string::npos);
     // Header separator present.
     EXPECT_NE(out.find("|---"), std::string::npos);
+}
+
+TEST(Cli, PortArgAcceptsExactlyZeroTo65535)
+{
+    EXPECT_EQ(parsePortArg("0"), 0u);
+    EXPECT_EQ(parsePortArg("80"), 80u);
+    EXPECT_EQ(parsePortArg("18000"), 18000u);
+    EXPECT_EQ(parsePortArg("65535"), 65535u);
+    EXPECT_EQ(parsePortArg("00080"), 80u);
+
+    // Junk, signs, whitespace and out-of-range values exit with a
+    // diagnostic instead of binding a port nobody asked for: "80x8"
+    // must not read as 80, "abc" not as 0 (an ephemeral port), and
+    // 4294967376 (= 2^32 + 80) must not wrap to 80.
+    for (const char *bad :
+         {"", "abc", "80x8", "x80", " 80", "80 ", "+80", "-1", "65536",
+          "99999", "4294967376", "18446744073709551696",
+          "1e3", "0x50"}) {
+        EXPECT_EXIT(parsePortArg(bad), ::testing::ExitedWithCode(1),
+                    "invalid port")
+            << "'" << bad << "'";
+    }
 }

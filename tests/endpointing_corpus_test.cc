@@ -12,12 +12,13 @@
  *    pathological push sizes (the determinism contract).
  *  - Engine integration: a live stream opened with
  *    StreamOptions::autoEndpoint emits, per detected segment, a
- *    result *bit-identical* to a manual decode of exactly that
- *    sample range -- in per-session AND batch-scoring mode.
+ *    result *bit-identical* to the offline decode of exactly that
+ *    sample range -- in both thread modes: the coordinator alone
+ *    (1 thread) and with stage workers (3 threads).
  *  - Wake-word gating: nothing is decoded before the wake phrase.
  *  - Races (concurrency label, TSan in CI): a client finish()
  *    landing while trailing silence is auto-finishing a segment
- *    resolves to exactly one final result in both modes.
+ *    resolves to exactly one final result in both thread modes.
  */
 
 #include <atomic>
@@ -32,6 +33,7 @@
 #include "api/engine.hh"
 #include "common/logging.hh"
 #include "frontend/endpointer.hh"
+#include "offline_reference.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -156,9 +158,9 @@ class EndpointingTest : public ::testing::Test
         return {segs, std::move(final_result)};
     }
 
-    /** Manual reference: one-shot decode of exactly [start, end). */
-    static pipeline::RecognitionResult
-    manualDecode(Engine &engine, const EndpointCorpusUtterance &u,
+    /** Reference: the offline decode of exactly [start, end). */
+    static decoder::DecodeResult
+    manualDecode(const EndpointCorpusUtterance &u,
                  const LabeledSegment &seg)
     {
         frontend::AudioSignal slice;
@@ -166,15 +168,14 @@ class EndpointingTest : public ::testing::Test
         slice.samples.assign(
             u.audio.samples.begin() + std::ptrdiff_t(seg.startSample),
             u.audio.samples.begin() + std::ptrdiff_t(seg.endSample));
-        return engine.recognize(slice);
+        return test::offlineDecode(*model, slice);
     }
 
     static EngineOptions
-    engineOptions(bool batched)
+    engineOptions(unsigned threads = 3)
     {
         EngineOptions opts;
-        opts.numThreads = 3;
-        opts.batchScoring = batched;
+        opts.numThreads = threads;
         return opts;
     }
 
@@ -258,7 +259,7 @@ TEST(EndpointingCorpus, BoundariesAreChunkSizeInvariant)
 
 // ---------------------------------------------------------------------------
 // Engine integration: auto-endpointed streams decode each segment
-// bit-identically to a manual decode of the same samples.
+// bit-identically to the offline decode of the same samples.
 // ---------------------------------------------------------------------------
 
 TEST_F(EndpointingTest, AutoSegmentsMatchManualDecodesBothModes)
@@ -268,9 +269,9 @@ TEST_F(EndpointingTest, AutoSegmentsMatchManualDecodesBothModes)
     ASSERT_EQ(expect.size(), 2u)
         << "recording seed must segment cleanly";
 
-    for (const bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "batch" : "per-session");
-        Engine engine(*model, engineOptions(batched));
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        Engine engine(*model, engineOptions(threads));
         const auto [segs, final_result] = streamAuto(engine, u, 160);
 
         ASSERT_EQ(segs.size(), expect.size());
@@ -282,8 +283,8 @@ TEST_F(EndpointingTest, AutoSegmentsMatchManualDecodesBothModes)
             EXPECT_EQ(segs[i].boundary.endSample,
                       expect[i].endSample);
             // Bit-identical decode of that range.
-            const pipeline::RecognitionResult manual =
-                manualDecode(engine, u, expect[i]);
+            const decoder::DecodeResult manual =
+                manualDecode(u, expect[i]);
             EXPECT_EQ(segs[i].result.words, manual.words)
                 << "segment " << i;
             EXPECT_EQ(segs[i].result.score, manual.score)
@@ -303,7 +304,7 @@ TEST_F(EndpointingTest, AutoSegmentsMatchManualDecodesBothModes)
 TEST_F(EndpointingTest, AutoSegmentsAreChunkInvariantThroughEngine)
 {
     const EndpointCorpusUtterance u = recording(8, 1);
-    Engine engine(*model, engineOptions(false));
+    Engine engine(*model, engineOptions());
 
     const auto [ref, ref_final] = streamAuto(engine, u, 160);
     ASSERT_EQ(ref.size(), 1u);
@@ -322,9 +323,9 @@ TEST_F(EndpointingTest, AutoSegmentsAreChunkInvariantThroughEngine)
 
 TEST_F(EndpointingTest, SilentStreamYieldsEmptyFinalBothModes)
 {
-    for (const bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "batch" : "per-session");
-        Engine engine(*model, engineOptions(batched));
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        Engine engine(*model, engineOptions(threads));
         std::atomic<int> segments{0};
         StreamOptions sopts;
         sopts.autoEndpoint = true;
@@ -347,7 +348,7 @@ TEST_F(EndpointingTest, SilentStreamYieldsEmptyFinalBothModes)
 
 TEST_F(EndpointingTest, UnknownDetectorAndBareWakeWordAreRejected)
 {
-    Engine engine(*model, engineOptions(false));
+    Engine engine(*model, engineOptions());
     {
         StreamOptions sopts;
         sopts.autoEndpoint = true;
@@ -398,7 +399,7 @@ TEST_F(EndpointingTest, WakeWordGatesDecodingUntilPhrase)
     append(command.samples);
     append(gap);
 
-    Engine engine(*model, engineOptions(false));
+    Engine engine(*model, engineOptions());
     std::vector<server::SegmentBoundary> boundaries;
     std::mutex mu;
     StreamOptions sopts;
@@ -443,9 +444,9 @@ TEST_F(EndpointingTest, WakeWordGatesDecodingUntilPhrase)
 TEST_F(EndpointingTest, FinishRacingAutoEndpointResolvesOnceBothModes)
 {
     const EndpointCorpusUtterance u = recording(11, 1);
-    for (const bool batched : {false, true}) {
-        SCOPED_TRACE(batched ? "batch" : "per-session");
-        Engine engine(*model, engineOptions(batched));
+    for (const unsigned threads : {1u, 3u}) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        Engine engine(*model, engineOptions(threads));
         // Several rounds to vary the interleaving: the pusher stops
         // right after the burst's trailing silence entered the
         // queue, so the engine-side auto-finish of the segment races

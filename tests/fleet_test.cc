@@ -12,8 +12,7 @@
  *  - Rebalancing: a shard forced out of Healthy stops receiving new
  *    opens (they divert to the least-loaded shard) while its already
  *    open streams stay pinned, keep accepting audio, and still
- *    produce the right result; capacity rejections likewise fall
- *    over to other shards.
+ *    produce the right result.
  *  - Handle hygiene: invalid, foreign-shard and un-tagged handles
  *    degrade per the documented invalid-handle contract.
  *  - Arrivals: Poisson inter-arrival times have the right mean and
@@ -118,7 +117,6 @@ class FleetTest : public ::testing::Test
         RouterOptions ropts;
         ropts.shards = shards;
         ropts.engine.numThreads = 2;
-        ropts.engine.batchScoring = true;
         return ropts;
     }
 
@@ -221,7 +219,7 @@ TEST_F(FleetTest, RouterMatchesSingleEngineBitIdenticalSharedModel)
     for (unsigned k = 0; k < kStreams; ++k) {
         Tracked &t = streams[k];
         t.audio = testAudio(1000 + k);
-        OpenStatus status = OpenStatus::Capacity;
+        OpenStatus status = OpenStatus::InvalidOptions;
         t.handle = router.openKeyed(k, {}, status);
         ASSERT_EQ(status, OpenStatus::Ok);
         t.shard = router.shardOf(t.handle);
@@ -274,7 +272,7 @@ TEST_F(FleetTest, RouterMatchesSingleEngineBitIdenticalPerShardModels)
     std::vector<StreamHandle> handles(kStreams);
     for (unsigned k = 0; k < kStreams; ++k) {
         audio[k] = testAudio(2000 + k);
-        OpenStatus status = OpenStatus::Capacity;
+        OpenStatus status = OpenStatus::InvalidOptions;
         handles[k] = router.openKeyed(k, {}, status);
         ASSERT_EQ(status, OpenStatus::Ok);
         shardOrder[router.shardOf(handles[k])].push_back(k);
@@ -314,7 +312,7 @@ TEST_F(FleetTest, PinnedStreamsSurviveRebalance)
         ++key0;
 
     const frontend::AudioSignal audio = testAudio(31);
-    OpenStatus status = OpenStatus::Capacity;
+    OpenStatus status = OpenStatus::InvalidOptions;
     const StreamHandle pinned = router.openKeyed(key0, {}, status);
     ASSERT_EQ(status, OpenStatus::Ok);
     ASSERT_EQ(router.shardOf(pinned), 0u);
@@ -336,7 +334,7 @@ TEST_F(FleetTest, PinnedStreamsSurviveRebalance)
 
     // New opens for shard-0 keys divert to shard 1...
     for (unsigned extra = 0; extra < 3; ++extra) {
-        OpenStatus st = OpenStatus::Capacity;
+        OpenStatus st = OpenStatus::InvalidOptions;
         const StreamHandle h = router.openKeyed(key0, {}, st);
         ASSERT_EQ(st, OpenStatus::Ok);
         EXPECT_EQ(router.shardOf(h), 1u) << extra;
@@ -363,41 +361,6 @@ TEST_F(FleetTest, PinnedStreamsSurviveRebalance)
         reference.finish(h).get();
     EXPECT_EQ(got.words, expected.words);
     EXPECT_EQ(got.score, expected.score);
-}
-
-TEST_F(FleetTest, CapacityRejectionFallsOverToOtherShards)
-{
-    RouterOptions ropts;
-    ropts.shards = 2;
-    ropts.engine.numThreads = 1;  // per-session mode: 1 stream/shard
-    ropts.engine.batchScoring = false;
-    ShardRouter router(*model, ropts);
-
-    std::uint64_t key0 = 0;
-    while (router.placeKey(key0) != 0)
-        ++key0;
-
-    // First open lands on its rendezvous shard 0 and fills it.
-    OpenStatus status = OpenStatus::Capacity;
-    const StreamHandle first = router.openKeyed(key0, {}, status);
-    ASSERT_EQ(status, OpenStatus::Ok);
-    ASSERT_EQ(router.shardOf(first), 0u);
-
-    // Same key again: shard 0 is full (Capacity), so the open falls
-    // over to shard 1 instead of surfacing the rejection.
-    const StreamHandle second = router.openKeyed(key0, {}, status);
-    ASSERT_EQ(status, OpenStatus::Ok);
-    EXPECT_EQ(router.shardOf(second), 1u);
-    EXPECT_EQ(router.counters().opensDiverted, 1u);
-
-    // Both shards full: now the rejection is real.
-    const StreamHandle third = router.openKeyed(key0, {}, status);
-    EXPECT_EQ(status, OpenStatus::Capacity);
-    EXPECT_EQ(third.value, 0u);
-    EXPECT_EQ(router.counters().opensRejected, 1u);
-
-    EXPECT_TRUE(router.cancel(first));
-    EXPECT_TRUE(router.cancel(second));
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +402,7 @@ TEST_F(FleetTest, AggregateStatsSumShards)
     while (router.placeKey(k1) != 1)
         ++k1;
     for (const std::uint64_t key : {k0, k1}) {
-        OpenStatus status = OpenStatus::Capacity;
+        OpenStatus status = OpenStatus::InvalidOptions;
         const StreamHandle h = router.openKeyed(key, {}, status);
         ASSERT_EQ(status, OpenStatus::Ok);
         pushAll(router, h, testAudio(40 + key));

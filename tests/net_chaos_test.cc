@@ -393,7 +393,6 @@ TEST_F(NetChaos, RetryableFaultScheduleIsBitIdenticalToFaultFree)
         std::vector<WireResult> out;
         EngineOptions eopts;
         eopts.numThreads = 2;
-        eopts.batchScoring = true;
         Engine engine(*model, eopts);
         net::Server server(engine, net::ServerOptions{});
         net::Client client;
@@ -444,7 +443,6 @@ TEST_F(NetChaos, DestructiveServerFaultsNeverWedgeOrCrash)
 {
     EngineOptions eopts;
     eopts.numThreads = 2;
-    eopts.batchScoring = true;
     Engine engine(*model, eopts);
     net::Server server(engine, net::ServerOptions{});
     const frontend::AudioSignal audio = testAudio(31);
@@ -491,7 +489,6 @@ TEST_F(NetChaos, EveryInProcessFaultPointFiresUnderTargetedChaos)
     // canonical seam must both be reached and actually inject.
     EngineOptions eopts;
     eopts.numThreads = 2;
-    eopts.batchScoring = true;  // the coordinator tick is a seam
     Engine engine(*model, eopts);
     net::Server server(engine, net::ServerOptions{});
     const frontend::AudioSignal audio = testAudio(41, 4);
@@ -575,7 +572,6 @@ TEST_F(NetChaos, DeadlineForeclosesAnAbandonedStreamOverTheWire)
 {
     EngineOptions eopts;
     eopts.numThreads = 2;
-    eopts.batchScoring = true;
     Engine engine(*model, eopts);
     net::Server server(engine, net::ServerOptions{});
 
@@ -615,7 +611,6 @@ TEST_F(NetChaos, GenerousDeadlineDoesNotDisturbTheResult)
 {
     EngineOptions eopts;
     eopts.numThreads = 2;
-    eopts.batchScoring = true;
     Engine engine(*model, eopts);
     net::Server server(engine, net::ServerOptions{});
     const frontend::AudioSignal audio = testAudio(61);
@@ -674,7 +669,6 @@ TEST_F(NetChaos, DegradedAdmissionShrinksKnobsAndMarksResults)
 {
     EngineOptions eopts;
     eopts.numThreads = 2;
-    eopts.batchScoring = true;
     Engine engine(*model, eopts);
     net::Server server(engine, instantOverload(true, false));
 
@@ -714,7 +708,6 @@ TEST_F(NetChaos, SheddingServerAnswersRetryAfterWithBackoffHint)
 {
     EngineOptions eopts;
     eopts.numThreads = 2;
-    eopts.batchScoring = true;
     Engine engine(*model, eopts);
     const net::ServerOptions sopts = instantOverload(true, true);
     net::Server server(engine, sopts);
@@ -738,7 +731,6 @@ TEST_F(NetChaos, RejectOnlyPolicyNeverMarksResultsDegraded)
 {
     EngineOptions eopts;
     eopts.numThreads = 2;
-    eopts.batchScoring = true;
     Engine engine(*model, eopts);
     // Reject-only: the degrade band is disabled, its (instantly
     // crossed) threshold must have no effect.

@@ -4,15 +4,13 @@
  * Client over real TCP sockets):
  *
  *  - Bit-identity: audio streamed through the protocol produces
- *    exactly the words and score of the same audio pushed through an
- *    in-process Engine with matching session ids, in both batch and
- *    per-session engine modes.
+ *    exactly the words and score of the offline pipeline over the
+ *    same audio, at 1 and 2 engine threads.
  *  - Multiplexing: several interleaved streams on one connection all
  *    come back bit-identical.
- *  - The RETRY_AFTER contract, from both sources: a saturated
- *    per-session engine (OpenStatus::Capacity) and the server-level
- *    maxStreams admission bound.  In both cases the same OPEN
- *    succeeds after a slot frees -- the rejection is recoverable.
+ *  - The RETRY_AFTER contract: the server-level maxStreams admission
+ *    bound sheds across connections, and the same OPEN succeeds
+ *    after a slot frees -- the rejection is recoverable.
  *  - Robustness: a mid-utterance disconnect cancels the abandoned
  *    engine stream; malformed bytes poison only their own
  *    connection; requests against unknown/duplicate streams answer
@@ -36,6 +34,7 @@
 #include "common/rng.hh"
 #include "net/client.hh"
 #include "net/server.hh"
+#include "offline_reference.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
@@ -145,19 +144,10 @@ pipeline::AsrModel *NetServerTest::model = nullptr;
 TEST_F(NetServerTest, LoopbackMatchesInProcessEngineBitForBit)
 {
     const frontend::AudioSignal audio = testAudio(11);
-    for (const bool batched : {false, true}) {
-        // Reference: a fresh in-process engine, so the wire stream
-        // and the reference both decode as session id 0 (the
-        // determinism contract keys results on the session id).
+    const auto want = test::offlineDecode(*model, audio);
+    for (const unsigned threads : {1u, 2u}) {
         EngineOptions opts;
-        opts.numThreads = 2;
-        opts.batchScoring = batched;
-        pipeline::RecognitionResult want;
-        {
-            Engine reference(*model, opts);
-            want = reference.recognize(audio);
-        }
-
+        opts.numThreads = threads;
         Engine engine(*model, opts);
         net::Server server(engine);
         net::Client client;
@@ -171,9 +161,11 @@ TEST_F(NetServerTest, LoopbackMatchesInProcessEngineBitForBit)
         net::FinalResult got;
         ASSERT_TRUE(client.finishStream(1, got))
             << client.lastError();
-        EXPECT_EQ(got.words, want.words) << "batched=" << batched;
-        EXPECT_EQ(got.score, want.score) << "batched=" << batched;
-        EXPECT_DOUBLE_EQ(got.audioSeconds, want.audioSeconds);
+        EXPECT_EQ(got.words, want.words) << "threads=" << threads;
+        EXPECT_EQ(got.score, want.score) << "threads=" << threads;
+        EXPECT_DOUBLE_EQ(got.audioSeconds,
+                         double(audio.samples.size()) /
+                             audio.sampleRate);
     }
 }
 
@@ -186,23 +178,10 @@ TEST_F(NetServerTest, InterleavedStreamsOnOneConnectionStayIdentical)
 
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
 
-    // Reference: same open order on a fresh engine, so stream k gets
-    // session id k on both sides.
-    std::vector<pipeline::RecognitionResult> want;
-    {
-        Engine reference(*model, opts);
-        std::vector<api::StreamHandle> handles;
-        for (unsigned u = 0; u < kStreams; ++u)
-            handles.push_back(reference.open());
-        for (unsigned u = 0; u < kStreams; ++u)
-            ASSERT_TRUE(reference.push(
-                handles[u],
-                std::span<const float>(audio[u].samples)));
-        for (unsigned u = 0; u < kStreams; ++u)
-            want.push_back(reference.finish(handles[u]).get());
-    }
+    std::vector<decoder::DecodeResult> want;
+    for (unsigned u = 0; u < kStreams; ++u)
+        want.push_back(test::offlineDecode(*model, audio[u]));
 
     Engine engine(*model, opts);
     net::Server server(engine);
@@ -274,51 +253,15 @@ TEST_F(NetServerTest, PartialsArriveWhileStreaming)
 }
 
 // ---------------------------------------------------------------------------
-// The RETRY_AFTER contract (both overload sources).
+// The RETRY_AFTER contract.
 // ---------------------------------------------------------------------------
-
-TEST_F(NetServerTest, EngineCapacityAnswersRetryAfterAndRecovers)
-{
-    // Per-session mode with one worker: the second OPEN hits
-    // OpenStatus::Capacity inside the engine.
-    EngineOptions opts;
-    opts.numThreads = 1;
-    opts.batchScoring = false;
-    Engine engine(*model, opts);
-    net::ServerOptions sopts;
-    sopts.retryAfterMs = 5;
-    net::Server server(engine, sopts);
-
-    net::Client client;
-    ASSERT_TRUE(client.connect("127.0.0.1", server.port()));
-    ASSERT_EQ(client.openStream(1), net::Client::OpenOutcome::Ok);
-    ASSERT_EQ(client.openStream(2),
-              net::Client::OpenOutcome::RetryAfter);
-    EXPECT_EQ(client.retryAfterMs(), 5u);
-
-    // Free the slot; the *same* OPEN must now succeed -- the
-    // rejection was recoverable, not a poisoned stream id.
-    const frontend::AudioSignal audio = testAudio(21);
-    pushAll(client, 1, audio, 1024);
-    net::FinalResult first;
-    ASSERT_TRUE(client.finishStream(1, first));
-
-    ASSERT_TRUE(client.openStreamRetrying(2))
-        << client.lastError();
-    pushAll(client, 2, audio, 1024);
-    net::FinalResult second;
-    ASSERT_TRUE(client.finishStream(2, second));
-    EXPECT_GE(server.counters().retryAfterSent, 1u);
-    EXPECT_EQ(server.counters().streamsFinished, 2u);
-}
 
 TEST_F(NetServerTest, ServerMaxStreamsBoundsAdmissionAcrossConnections)
 {
-    // Batch mode admits unboundedly at the engine, so the server's
-    // own admission bound is the only shed valve.
+    // The engine admits any number of streams, so the server's own
+    // admission bound is the only shed valve.
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     net::ServerOptions sopts;
     sopts.maxStreams = 1;
@@ -331,7 +274,10 @@ TEST_F(NetServerTest, ServerMaxStreamsBoundsAdmissionAcrossConnections)
     ASSERT_EQ(a.openStream(1), net::Client::OpenOutcome::Ok);
     ASSERT_EQ(b.openStream(1),
               net::Client::OpenOutcome::RetryAfter);
+    EXPECT_EQ(b.retryAfterMs(), 5u);
 
+    // Free the slot; the *same* OPEN must now succeed -- the
+    // rejection was recoverable, not a poisoned stream id.
     const frontend::AudioSignal audio = testAudio(31);
     pushAll(a, 1, audio, 1024);
     net::FinalResult fin;
@@ -340,6 +286,8 @@ TEST_F(NetServerTest, ServerMaxStreamsBoundsAdmissionAcrossConnections)
     ASSERT_TRUE(b.openStreamRetrying(1)) << b.lastError();
     pushAll(b, 1, audio, 1024);
     ASSERT_TRUE(b.finishStream(1, fin));
+    EXPECT_GE(server.counters().retryAfterSent, 1u);
+    EXPECT_EQ(server.counters().streamsFinished, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -350,9 +298,12 @@ TEST_F(NetServerTest, MidUtteranceDisconnectCancelsTheEngineStream)
 {
     EngineOptions opts;
     opts.numThreads = 1;
-    opts.batchScoring = false;
     Engine engine(*model, opts);
-    net::Server server(engine);
+    // One admission slot: a stream the disconnect failed to release
+    // would shed the next client with RETRY_AFTER.
+    net::ServerOptions sopts;
+    sopts.maxStreams = 1;
+    net::Server server(engine, sopts);
 
     {
         net::Client client;
@@ -366,8 +317,8 @@ TEST_F(NetServerTest, MidUtteranceDisconnectCancelsTheEngineStream)
         return server.counters().disconnectCancels == 1;
     }));
 
-    // The abandoned stream released the single worker: a new client
-    // opens immediately, no RETRY_AFTER.
+    // The abandoned stream released the single admission slot: a new
+    // client opens immediately, no RETRY_AFTER.
     net::Client next;
     ASSERT_TRUE(next.connect("127.0.0.1", server.port()));
     EXPECT_EQ(next.openStream(1), net::Client::OpenOutcome::Ok);
@@ -377,7 +328,6 @@ TEST_F(NetServerTest, MalformedBytesPoisonOnlyTheirOwnConnection)
 {
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     net::Server server(engine);
 
@@ -438,7 +388,6 @@ TEST_F(NetServerTest, UnknownAndDuplicateStreamsAnswerErrors)
 {
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     net::Server server(engine);
     net::Client client;
@@ -465,7 +414,6 @@ TEST_F(NetServerTest, StopWithLiveConnectionsShutsDownCleanly)
 {
     EngineOptions opts;
     opts.numThreads = 2;
-    opts.batchScoring = true;
     Engine engine(*model, opts);
     net::Server server(engine);
 

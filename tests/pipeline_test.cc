@@ -2,15 +2,17 @@
  * @file
  * Tests for the pipeline module: corpus sampling with ground truth,
  * beam calibration, the batched system model, and the end-to-end
- * ASR facade (audio in, words out).
+ * system (audio in, words out) through api::Engine's model-building
+ * constructor.
  */
 
 #include <gtest/gtest.h>
 
 #include "acoustic/scorer.hh"
+#include "api/engine.hh"
 #include "decoder/viterbi.hh"
 #include "decoder/wer.hh"
-#include "pipeline/asr_system.hh"
+#include "offline_reference.hh"
 #include "pipeline/calibrate.hh"
 #include "pipeline/corpus.hh"
 #include "pipeline/system.hh"
@@ -166,11 +168,13 @@ TEST(AsrSystem, EndToEndRecognition)
     cfg.trainUtterPerPhoneme = 12;
     cfg.trainEpochs = 12;
     cfg.beam = 14.0f;
-    cfg.useAccelerator = true;
-    AsrSystem system(net, cfg);
+    api::EngineOptions opts;
+    opts.searchBackend = "accel";
+    opts.runTiming = true;
+    api::Engine system(net, cfg, opts);
 
     // The acoustic model must have learned the synthetic phonemes.
-    EXPECT_GT(system.acousticModelAccuracy(), 0.7f);
+    EXPECT_GT(system.model().acousticModelAccuracy(), 0.7f);
 
     // Sample a true path and synthesize its audio.
     CorpusConfig ccfg;
@@ -180,7 +184,7 @@ TEST(AsrSystem, EndToEndRecognition)
     std::vector<std::uint32_t> phones(utt.framePhonemes.begin(),
                                       utt.framePhonemes.end());
     const frontend::AudioSignal audio =
-        system.synthesizer().synthesize(phones, 1);
+        system.model().synthesizer().synthesize(phones, 1);
 
     const RecognitionResult result = system.recognize(audio);
     EXPECT_GT(result.score, wfst::kLogZero);
@@ -201,10 +205,8 @@ TEST(AsrSystem, Int8BackendWerDeltaBounded)
     cfg.trainUtterPerPhoneme = 12;
     cfg.trainEpochs = 12;
     cfg.beam = 14.0f;
-    cfg.useAccelerator = false;
     cfg.seed = 13;
-    AsrSystem system(net, cfg);
-    const AsrModel &model = system.model();
+    const AsrModel model(net, cfg);
 
     // Int8 backend over the *same* trained weights.
     const auto int8 = acoustic::Backend::create(
@@ -224,7 +226,7 @@ TEST(AsrSystem, Int8BackendWerDeltaBounded)
         std::vector<std::uint32_t> phones(utt.framePhonemes.begin(),
                                           utt.framePhonemes.end());
         const frontend::AudioSignal audio =
-            system.synthesizer().synthesize(phones, 1);
+            model.synthesizer().synthesize(phones, 1);
         const frontend::FeatureMatrix feats =
             model.mfcc().compute(audio);
 
@@ -256,15 +258,33 @@ TEST(AsrSystem, SoftwareBackendAgrees)
     cfg.trainEpochs = 8;
     cfg.seed = 31;
 
-    cfg.useAccelerator = true;
-    AsrSystem hw(net, cfg);
-    cfg.useAccelerator = false;
-    AsrSystem sw(net, cfg);
+    // Each engine trains its own model from the same config and
+    // seed; training is deterministic, so both land on the same
+    // weights.
+    api::EngineOptions accel;
+    accel.searchBackend = "accel";
+    api::Engine hw(net, cfg, accel);
+    api::EngineOptions viterbi;
+    viterbi.searchBackend = "viterbi";
+    api::Engine sw(net, cfg, viterbi);
 
     const frontend::AudioSignal audio =
-        hw.synthesizer().synthesize({1, 2, 3, 4, 5}, 4);
+        hw.model().synthesizer().synthesize({1, 2, 3, 4, 5}, 4);
     const auto r_hw = hw.recognize(audio);
     const auto r_sw = sw.recognize(audio);
     EXPECT_EQ(r_hw.words, r_sw.words);
     EXPECT_NEAR(r_hw.score, r_sw.score, 1e-3f);
+
+    // And each reproduces its backend's offline decode exactly, on
+    // the other engine's model too (same weights).
+    for (const api::Engine *engine : {&hw, &sw}) {
+        const auto want_hw =
+            test::offlineDecode(engine->model(), audio, accel);
+        EXPECT_EQ(r_hw.words, want_hw.words);
+        EXPECT_EQ(r_hw.score, want_hw.score);
+        const auto want_sw =
+            test::offlineDecode(engine->model(), audio, viterbi);
+        EXPECT_EQ(r_sw.words, want_sw.words);
+        EXPECT_EQ(r_sw.score, want_sw.score);
+    }
 }

@@ -1,28 +1,32 @@
 /**
  * @file
- * Tests for cross-session batched DNN scoring (the scheduler's batch
- * mode + server::BatchScorer): per-utterance results must be
- * bit-identical to per-session inline scoring for any thread count
- * and any batch-session cap, the deferred-session protocol must
- * round-trip by hand, and the engine must actually coalesce frames
- * (mean batch > 1 with many concurrent sessions).
+ * Tests for cross-session batched DNN scoring (api::Engine's
+ * coordinator + server::BatchScorer): per-utterance results must be
+ * bit-identical to the offline whole-utterance pipeline for any
+ * thread count and any batch-session cap, the session scoring
+ * protocol must round-trip by hand, and the engine must actually
+ * coalesce frames (mean batch > 1 with many concurrent sessions).
  */
 
 #include <future>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/engine.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "offline_reference.hh"
 #include "pipeline/model.hh"
 #include "server/batch_scorer.hh"
-#include "server/scheduler.hh"
 #include "server/session.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
 using namespace asr::server;
+using api::Engine;
+using api::EngineOptions;
 
 namespace {
 
@@ -79,13 +83,13 @@ class ServerBatchTest : public ::testing::Test
         return model->synthesizer().synthesize(seq, 3);
     }
 
-    /** Run @p corpus through a scheduler and collect the results. */
+    /** Run @p corpus through an engine and collect the results. */
     static std::vector<pipeline::RecognitionResult>
-    runEngine(const SchedulerConfig &cfg,
+    runEngine(const EngineOptions &cfg,
               const std::vector<frontend::AudioSignal> &corpus,
               EngineSnapshot *snap = nullptr)
     {
-        DecodeScheduler engine(*model, cfg);
+        Engine engine(*model, cfg);
         std::vector<std::future<pipeline::RecognitionResult>> futures;
         futures.reserve(corpus.size());
         for (const auto &audio : corpus)
@@ -99,6 +103,28 @@ class ServerBatchTest : public ::testing::Test
             *snap = engine.stats();
         }
         return results;
+    }
+
+    /**
+     * Every result must be the offline decode of its utterance, as
+     * session u of an engine configured by @p cfg.
+     */
+    static void
+    expectOffline(const EngineOptions &cfg,
+                  const std::vector<frontend::AudioSignal> &audios,
+                  const std::vector<pipeline::RecognitionResult> &got,
+                  const char *what)
+    {
+        ASSERT_EQ(got.size(), audios.size()) << what;
+        for (std::size_t u = 0; u < got.size(); ++u) {
+            const auto want =
+                test::offlineDecode(*model, audios[u], cfg, u);
+            EXPECT_EQ(got[u].sessionId, u) << what;
+            EXPECT_EQ(got[u].words, want.words)
+                << what << ", utterance " << u;
+            EXPECT_EQ(got[u].score, want.score)
+                << what << ", utterance " << u;
+        }
     }
 
     static std::vector<frontend::AudioSignal>
@@ -120,79 +146,38 @@ pipeline::AsrModel *ServerBatchTest::model = nullptr;
 
 } // namespace
 
-TEST_F(ServerBatchTest, BatchModeMatchesPerSessionExactly)
-{
-    const auto audios = corpus(10);
-
-    SchedulerConfig plain;
-    plain.numThreads = 1;
-    plain.baseSeed = 11;
-    const auto ref = runEngine(plain, audios);
-
-    SchedulerConfig batched = plain;
-    batched.batchScoring = true;
-    const auto got = runEngine(batched, audios);
-
-    ASSERT_EQ(ref.size(), got.size());
-    for (std::size_t u = 0; u < ref.size(); ++u) {
-        EXPECT_EQ(ref[u].words, got[u].words) << "utterance " << u;
-        EXPECT_EQ(ref[u].score, got[u].score) << "utterance " << u;
-        EXPECT_EQ(ref[u].sessionId, got[u].sessionId);
-    }
-}
-
 TEST_F(ServerBatchTest, ThreadCountDoesNotChangeBatchModeResults)
 {
     const auto audios = corpus(8);
-    std::vector<std::vector<wfst::WordId>> refWords;
-    std::vector<wfst::LogProb> refScores;
     for (unsigned threads : {1u, 2u, 4u}) {
-        SchedulerConfig cfg;
+        EngineOptions cfg;
         cfg.numThreads = threads;
         cfg.baseSeed = 3;
-        cfg.batchScoring = true;
         cfg.ditherAmplitude = 1e-4f;  // exercise per-session RNG too
-        const auto results = runEngine(cfg, audios);
-        if (threads == 1) {
-            for (const auto &r : results) {
-                refWords.push_back(r.words);
-                refScores.push_back(r.score);
-            }
-            continue;
-        }
-        for (std::size_t u = 0; u < results.size(); ++u) {
-            EXPECT_EQ(results[u].words, refWords[u])
-                << threads << " threads, utterance " << u;
-            EXPECT_EQ(results[u].score, refScores[u])
-                << threads << " threads, utterance " << u;
-        }
+        const std::string what =
+            std::to_string(threads) + " threads";
+        expectOffline(cfg, audios, runEngine(cfg, audios),
+                      what.c_str());
     }
 }
 
 TEST_F(ServerBatchTest, SessionCapDoesNotChangeResults)
 {
     const auto audios = corpus(9);
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 2;
     cfg.baseSeed = 5;
-    cfg.batchScoring = true;
     cfg.maxBatchSessions = 32;
-    const auto wide = runEngine(cfg, audios);
+    expectOffline(cfg, audios, runEngine(cfg, audios), "32 sessions");
     cfg.maxBatchSessions = 2;  // forces several admission waves
-    const auto narrow = runEngine(cfg, audios);
-    ASSERT_EQ(wide.size(), narrow.size());
-    for (std::size_t u = 0; u < wide.size(); ++u) {
-        EXPECT_EQ(wide[u].words, narrow[u].words);
-        EXPECT_EQ(wide[u].score, narrow[u].score);
-    }
+    expectOffline(cfg, audios, runEngine(cfg, audios), "2 sessions");
 }
 
 TEST_F(ServerBatchTest, CoalescesFramesAcrossSessions)
 {
     const auto audios = corpus(8);
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 1;
-    cfg.batchScoring = true;
     EngineSnapshot snap;
     runEngine(cfg, audios, &snap);
     EXPECT_EQ(snap.utterances, 8u);
@@ -216,36 +201,26 @@ TEST_F(ServerBatchTest, ZeroLengthAndTinyAudio)
     audios.push_back(tiny);
     audios.push_back(testAudio(2));           // a normal utterance
 
-    SchedulerConfig plain;
-    plain.numThreads = 1;
-    const auto ref = runEngine(plain, audios);
-
-    SchedulerConfig batched = plain;
-    batched.batchScoring = true;
-    const auto got = runEngine(batched, audios);
+    EngineOptions cfg;
+    cfg.numThreads = 1;
+    const auto got = runEngine(cfg, audios);
 
     ASSERT_EQ(got.size(), 3u);
     EXPECT_TRUE(got[0].words.empty());
-    for (std::size_t u = 0; u < ref.size(); ++u) {
-        EXPECT_EQ(ref[u].words, got[u].words);
-        EXPECT_EQ(ref[u].score, got[u].score);
-    }
+    EXPECT_EQ(got[0].searchStats.framesDecoded, 0u);
+    EXPECT_EQ(got[1].searchStats.framesDecoded, 0u);
+    expectOffline(cfg, audios, got, "degenerate audio");
 }
 
 TEST_F(ServerBatchTest, DeferredProtocolRoundTripsByHand)
 {
-    // Drive one deferred session directly through the BatchScorer
-    // and check it against a plain inline session.
+    // Drive one session directly through the BatchScorer and check
+    // it against the offline pipeline.
     const frontend::AudioSignal audio = testAudio(42);
+    const auto want = test::offlineDecode(*model, audio);
 
-    SessionConfig inlineCfg;
-    inlineCfg.id = 7;
-    StreamingSession inlineSession(*model, inlineCfg);
-    inlineSession.pushAudio(audio.samples);
-    const auto want = inlineSession.finish();
-
-    SessionConfig deferCfg = inlineCfg;
-    deferCfg.deferScoring = true;
+    SessionConfig deferCfg;
+    deferCfg.id = 7;
     StreamingSession deferred(*model, deferCfg);
     BatchScorer scorer(*model);
     StreamingSession *sessions[] = {&deferred};
@@ -270,22 +245,19 @@ TEST_F(ServerBatchTest, DeferredProtocolRoundTripsByHand)
 
     EXPECT_EQ(want.words, got.words);
     EXPECT_EQ(want.score, got.score);
-    EXPECT_EQ(want.audioSeconds, got.audioSeconds);
+    EXPECT_EQ(got.audioSeconds,
+              double(audio.samples.size()) / audio.sampleRate);
 }
 
 TEST_F(ServerBatchTest, AcceleratorBackendInBatchMode)
 {
     // Batch scoring composes with the accelerator search backend.
     const auto audios = corpus(4);
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 1;
     cfg.useAccelerator = true;
-    const auto ref = runEngine(cfg, audios);
-    cfg.batchScoring = true;
     const auto got = runEngine(cfg, audios);
-    for (std::size_t u = 0; u < ref.size(); ++u) {
-        EXPECT_EQ(ref[u].words, got[u].words);
-        EXPECT_EQ(ref[u].score, got[u].score);
-        EXPECT_GT(got[u].accelStats.frames, 0u);
-    }
+    expectOffline(cfg, audios, got, "accel");
+    for (const auto &r : got)
+        EXPECT_GT(r.accelStats.frames, 0u);
 }

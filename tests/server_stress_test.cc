@@ -2,8 +2,9 @@
  * @file
  * Concurrency stress for the decode engine, designed to give TSan /
  * ASan / UBSan something to chew on: many short utterances racing
- * through more workers than cores, overlapping submit/drain/stats
- * calls from the driver thread, and both search backends.  The
+ * through more engine threads than cores, overlapping
+ * submit/drain/stats calls from the driver thread, and both search
+ * backends.  The
  * assertions are deliberately light -- the point is to execute the
  * synchronized paths (queue, condvars, EngineStats, shared model
  * reads) under maximum interleaving, with correctness itself pinned
@@ -17,12 +18,13 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "api/engine.hh"
 #include "pipeline/model.hh"
-#include "server/scheduler.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
-using namespace asr::server;
+using api::Engine;
+using api::EngineOptions;
 
 namespace {
 
@@ -94,11 +96,11 @@ audioFor(std::uint64_t seed)
 
 TEST(ServerStress, ManySessionsManyWorkers)
 {
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 8;  // deliberately more than the core count
     cfg.baseSeed = 5;
     cfg.ditherAmplitude = 1e-4f;
-    DecodeScheduler engine(world().model, cfg);
+    Engine engine(world().model, cfg);
 
     constexpr unsigned kJobs = 48;
     std::vector<std::future<pipeline::RecognitionResult>> futures;
@@ -106,7 +108,7 @@ TEST(ServerStress, ManySessionsManyWorkers)
     for (unsigned u = 0; u < kJobs; ++u) {
         futures.push_back(engine.submit(audioFor(u)));
         // Interleave stats polling with submissions to race the
-        // EngineStats mutex against the workers.
+        // EngineStats mutex against the engine threads.
         if (u % 7 == 0)
             (void)engine.stats();
     }
@@ -121,9 +123,9 @@ TEST(ServerStress, ManySessionsManyWorkers)
 
 TEST(ServerStress, RepeatedDrainCycles)
 {
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 4;
-    DecodeScheduler engine(world().model, cfg);
+    Engine engine(world().model, cfg);
 
     unsigned total = 0;
     for (unsigned round = 0; round < 5; ++round) {
@@ -141,11 +143,11 @@ TEST(ServerStress, AcceleratorBackendUnderConcurrency)
     // Each session owns a full cycle-level accelerator model; run a
     // few concurrently to stress its (session-private) state under
     // parallel construction/teardown.
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 4;
     cfg.useAccelerator = true;
     cfg.runTiming = true;
-    DecodeScheduler engine(world().model, cfg);
+    Engine engine(world().model, cfg);
 
     std::vector<std::future<pipeline::RecognitionResult>> futures;
     for (unsigned u = 0; u < 8; ++u)
@@ -160,9 +162,9 @@ TEST(ServerStress, DestructorDrainsOutstandingWork)
 {
     std::vector<std::future<pipeline::RecognitionResult>> futures;
     {
-        SchedulerConfig cfg;
+        EngineOptions cfg;
         cfg.numThreads = 3;
-        DecodeScheduler engine(world().model, cfg);
+        Engine engine(world().model, cfg);
         for (unsigned u = 0; u < 6; ++u)
             futures.push_back(engine.submit(audioFor(500 + u)));
         // Destructor must finish the queue before joining.

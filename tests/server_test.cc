@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests for the concurrent streaming decode engine (src/server):
- * streaming sessions must reproduce the batch pipeline bit-exactly,
- * handle degenerate inputs (zero-length audio, single frames, beams
- * so tight everything but the best chain is cut), agree across the
- * software and accelerator backends, and produce scheduling-
- * independent results under any worker-thread count.
+ * Tests for the concurrent streaming decode engine's session layer
+ * (src/server, driven through api::Engine): streaming decodes must
+ * reproduce the offline whole-utterance pipeline bit-exactly for any
+ * chunking and thread count, handle degenerate inputs (zero-length
+ * audio, single frames, beams so tight everything but the best chain
+ * is cut), agree across the software and accelerator backends, and
+ * produce scheduling-independent results.
  *
  * The shared AsrModel is trained once per process (SetUpTestSuite):
  * DNN training is the expensive part and the model is immutable, so
@@ -13,21 +14,22 @@
  * pattern the server layer is designed for.
  */
 
+#include <atomic>
 #include <future>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/engine.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "pipeline/asr_system.hh"
-#include "pipeline/corpus.hh"
-#include "server/scheduler.hh"
-#include "server/session.hh"
+#include "offline_reference.hh"
 #include "wfst/generate.hh"
 
 using namespace asr;
 using namespace asr::server;
+using api::Engine;
+using api::EngineOptions;
 
 namespace {
 
@@ -86,6 +88,16 @@ class ServerTest : public ::testing::Test
         return model->synthesizer().synthesize(seq, 3);
     }
 
+    /** @p samples samples of @p value at the model's rate. */
+    static frontend::AudioSignal
+    constantAudio(std::size_t samples, float value)
+    {
+        frontend::AudioSignal audio;
+        audio.sampleRate = model->mfcc().config().sampleRate;
+        audio.samples.assign(samples, value);
+        return audio;
+    }
+
     static wfst::Wfst *net;
     static pipeline::AsrModel *model;
 };
@@ -93,46 +105,43 @@ class ServerTest : public ::testing::Test
 wfst::Wfst *ServerTest::net = nullptr;
 pipeline::AsrModel *ServerTest::model = nullptr;
 
-/** Decode one signal through a session in chunks of @p chunk. */
+/**
+ * One-shot decode of @p audio on a fresh engine (session id 0) that
+ * feeds the session @p chunk samples per push.
+ */
 pipeline::RecognitionResult
-decodeChunked(const pipeline::AsrModel &model, const SessionConfig &cfg,
+decodeChunked(const pipeline::AsrModel &model, EngineOptions opts,
               const frontend::AudioSignal &audio, std::size_t chunk)
 {
-    StreamingSession session(model, cfg);
-    const auto &s = audio.samples;
-    for (std::size_t base = 0; base < s.size(); base += chunk) {
-        const std::size_t len = std::min(chunk, s.size() - base);
-        session.pushAudio(std::span<const float>(s.data() + base, len));
-    }
-    return session.finish();
+    opts.chunkSamples = chunk;
+    Engine engine(model, opts);
+    return engine.recognize(audio);
 }
 
 } // namespace
 
 TEST_F(ServerTest, StreamingMatchesBatchPipelineExactly)
 {
-    // The streaming session (incremental MFCC, lagged per-frame DNN
-    // scoring, frame-synchronous search) must be bit-identical to
-    // the batch facade over the same model.
+    // The streaming session (incremental MFCC, spliced rows scored
+    // in the cross-session batch, frame-synchronous search) must be
+    // bit-identical to the offline pipeline over the same model, for
+    // any push size and thread count.
     const frontend::AudioSignal audio = testAudio(7);
+    const auto batch_result = test::offlineDecode(*model, audio);
+    ASSERT_FALSE(batch_result.words.empty());
 
-    const frontend::FeatureMatrix feats =
-        model->mfcc().compute(audio);
-    const acoustic::AcousticLikelihoods scores =
-        model->scorer().score(feats);
-    decoder::DecoderConfig dcfg;
-    dcfg.beam = model->config().beam;
-    decoder::ViterbiDecoder batch(model->net(), dcfg);
-    const auto batch_result = batch.decode(scores);
-
-    for (const std::size_t chunk :
-         {std::size_t(1), std::size_t(160), std::size_t(997),
-          std::size_t(1) << 20}) {
-        SessionConfig scfg;
-        const auto r = decodeChunked(*model, scfg, audio, chunk);
-        EXPECT_EQ(r.words, batch_result.words) << "chunk " << chunk;
-        EXPECT_FLOAT_EQ(r.score, batch_result.score)
-            << "chunk " << chunk;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        for (const std::size_t chunk :
+             {std::size_t(1), std::size_t(160), std::size_t(997),
+              std::size_t(1) << 20}) {
+            EngineOptions opts;
+            opts.numThreads = threads;
+            const auto r = decodeChunked(*model, opts, audio, chunk);
+            EXPECT_EQ(r.words, batch_result.words)
+                << "chunk " << chunk << " threads " << threads;
+            EXPECT_EQ(r.score, batch_result.score)
+                << "chunk " << chunk << " threads " << threads;
+        }
     }
 }
 
@@ -140,67 +149,66 @@ TEST_F(ServerTest, BackendsAgreeUnderSessionApi)
 {
     const frontend::AudioSignal audio = testAudio(11);
 
-    SessionConfig sw;
+    EngineOptions sw;
     sw.useAccelerator = false;
     const auto r_sw = decodeChunked(*model, sw, audio, 160);
 
-    SessionConfig hw;
+    EngineOptions hw;
     hw.useAccelerator = true;
     const auto r_hw = decodeChunked(*model, hw, audio, 160);
 
     EXPECT_EQ(r_hw.words, r_sw.words);
     EXPECT_NEAR(r_hw.score, r_sw.score, 1e-3f);
     EXPECT_GT(r_hw.accelStats.frames, 0u);
+
+    // Each backend reproduces its own offline decode exactly.
+    const auto want_sw = test::offlineDecode(*model, audio, sw);
+    EXPECT_EQ(r_sw.words, want_sw.words);
+    EXPECT_EQ(r_sw.score, want_sw.score);
+    const auto want_hw = test::offlineDecode(*model, audio, hw);
+    EXPECT_EQ(r_hw.words, want_hw.words);
+    EXPECT_EQ(r_hw.score, want_hw.score);
 }
 
 TEST_F(ServerTest, ZeroLengthAudio)
 {
-    SessionConfig scfg;
-    StreamingSession session(*model, scfg);
-    session.pushAudio({});
-    EXPECT_TRUE(session.partialWords().empty());
-    const auto r = session.finish();
+    EngineOptions opts;
+    const auto r = decodeChunked(*model, opts, constantAudio(0, 0.0f),
+                                 160);
     EXPECT_TRUE(r.words.empty());
-    EXPECT_EQ(session.framesDecoded(), 0u);
+    EXPECT_EQ(r.searchStats.framesDecoded, 0u);
     EXPECT_EQ(r.audioSeconds, 0.0);
 }
 
 TEST_F(ServerTest, AudioShorterThanOneWindowYieldsNoFrames)
 {
     // 399 samples at 16 kHz is one sample short of a 25 ms window.
-    SessionConfig scfg;
-    StreamingSession session(*model, scfg);
-    std::vector<float> samples(399, 0.01f);
-    session.pushAudio(samples);
-    const auto r = session.finish();
-    EXPECT_EQ(session.framesDecoded(), 0u);
+    EngineOptions opts;
+    const auto r = decodeChunked(*model, opts, constantAudio(399, 0.01f),
+                                 160);
+    EXPECT_EQ(r.searchStats.framesDecoded, 0u);
     EXPECT_TRUE(r.words.empty());
+    EXPECT_GT(r.audioSeconds, 0.0);
 }
 
 TEST_F(ServerTest, SingleFrameUtterance)
 {
     // Exactly one analysis window -> one decoded frame, and the
-    // result matches the batch path on the same audio.
+    // result matches the offline pipeline on the same audio.
     const frontend::AudioSignal full = testAudio(13);
     frontend::AudioSignal audio;
     audio.sampleRate = full.sampleRate;
     audio.samples.assign(full.samples.begin(),
                          full.samples.begin() + 400);
+    ASSERT_EQ(model->mfcc().compute(audio).size(), 1u);
 
-    SessionConfig scfg;
-    const auto r = decodeChunked(*model, scfg, audio, 64);
+    EngineOptions opts;
+    const auto r = decodeChunked(*model, opts, audio, 64);
+    const auto batch_result = test::offlineDecode(*model, audio);
 
-    const frontend::FeatureMatrix feats =
-        model->mfcc().compute(audio);
-    ASSERT_EQ(feats.size(), 1u);
-    const auto scores = model->scorer().score(feats);
-    decoder::DecoderConfig dcfg;
-    dcfg.beam = model->config().beam;
-    decoder::ViterbiDecoder batch(model->net(), dcfg);
-    const auto batch_result = batch.decode(scores);
-
+    EXPECT_EQ(r.searchStats.framesDecoded, 1u);
     EXPECT_EQ(r.words, batch_result.words);
-    EXPECT_FLOAT_EQ(r.score, batch_result.score);
+    EXPECT_EQ(r.score, batch_result.score);
 }
 
 TEST_F(ServerTest, UltraTightBeamPrunesEverythingGracefully)
@@ -211,11 +219,11 @@ TEST_F(ServerTest, UltraTightBeamPrunesEverythingGracefully)
     // and both backends must agree on the outcome.
     const frontend::AudioSignal audio = testAudio(17);
 
-    SessionConfig sw;
+    EngineOptions sw;
     sw.beam = 1e-4f;
     const auto r_sw = decodeChunked(*model, sw, audio, 160);
 
-    SessionConfig hw = sw;
+    EngineOptions hw = sw;
     hw.useAccelerator = true;
     const auto r_hw = decodeChunked(*model, hw, audio, 160);
 
@@ -227,68 +235,79 @@ TEST_F(ServerTest, UltraTightBeamPrunesEverythingGracefully)
         EXPECT_TRUE(r_sw.words.empty());
         EXPECT_LE(r_hw.score, wfst::kLogZero);
     }
+    const auto want_sw = test::offlineDecode(*model, audio, sw);
+    EXPECT_EQ(r_sw.words, want_sw.words);
+    EXPECT_EQ(r_sw.score, want_sw.score);
 
     // A merely tight beam keeps the best chain alive; the backends
     // must still agree and actually prune.
-    SessionConfig tight;
+    EngineOptions tight;
     tight.beam = 2.0f;
     const auto t_sw = decodeChunked(*model, tight, audio, 160);
+    const auto want_tight = test::offlineDecode(*model, audio, tight);
     tight.useAccelerator = true;
     const auto t_hw = decodeChunked(*model, tight, audio, 160);
     EXPECT_GT(t_sw.score, wfst::kLogZero);
+    EXPECT_EQ(t_sw.words, want_tight.words);
+    EXPECT_EQ(t_sw.score, want_tight.score);
     EXPECT_EQ(t_hw.words, t_sw.words);
     EXPECT_NEAR(t_hw.score, t_sw.score, 1e-3f);
 }
 
 TEST_F(ServerTest, PartialHypothesesAreMonotonicallyUsable)
 {
+    // One push per tick, so the coordinator publishes a partial
+    // after every 640-sample chunk while the stream is still open.
     const frontend::AudioSignal audio = testAudio(19, 8);
-    SessionConfig scfg;
-    StreamingSession session(*model, scfg);
+    EngineOptions opts;
+    opts.chunksPerTick = 1;
+    Engine engine(*model, opts);
 
+    std::atomic<unsigned> partials_seen{0};
+    api::StreamOptions sopts;
+    sopts.onPartial = [&](const std::vector<wfst::WordId> &words) {
+        partials_seen += words.empty() ? 0 : 1;
+    };
+    const api::StreamHandle h = engine.open(sopts);
     const auto &s = audio.samples;
-    std::size_t partials_seen = 0;
     for (std::size_t base = 0; base < s.size(); base += 640) {
         const std::size_t len = std::min<std::size_t>(640, s.size() - base);
-        session.pushAudio(std::span<const float>(s.data() + base, len));
-        partials_seen += session.partialWords().empty() ? 0 : 1;
+        ASSERT_TRUE(engine.push(
+            h, std::span<const float>(s.data() + base, len)));
     }
-    const auto r = session.finish();
-    EXPECT_GT(session.framesDecoded(), 0u);
+    const auto r = engine.finish(h).get();
+    EXPECT_GT(r.searchStats.framesDecoded, 0u);
     // The utterance produces words, and at least one partial was
     // already visible mid-stream.
     if (!r.words.empty()) {
-        EXPECT_GT(partials_seen, 0u);
+        EXPECT_GT(partials_seen.load(), 0u);
     }
 }
 
 TEST_F(ServerTest, ConcurrentBitIdenticalToSequential)
 {
-    // The same submissions through 1 worker and 4 workers (and a
-    // plain sequential session loop) must produce bit-identical
-    // per-utterance words and scores: shared state is immutable and
-    // per-session RNG streams make results scheduling-independent.
+    // The same submissions through 1, 2 and 4 engine threads must
+    // produce per-utterance words and scores bit-identical to a
+    // sequential offline decode of each: shared state is immutable
+    // and per-session RNG streams make results
+    // scheduling-independent.
     constexpr unsigned kUtterances = 6;
     std::vector<frontend::AudioSignal> corpus;
     for (unsigned u = 0; u < kUtterances; ++u)
         corpus.push_back(testAudio(100 + u));
 
-    // Sequential reference via bare sessions.
-    std::vector<pipeline::RecognitionResult> seq;
-    for (unsigned u = 0; u < kUtterances; ++u) {
-        SessionConfig scfg;
-        scfg.id = u;
-        scfg.baseSeed = 9;
-        scfg.ditherAmplitude = 1e-4f;
-        seq.push_back(decodeChunked(*model, scfg, corpus[u], 160));
-    }
+    EngineOptions cfg;
+    cfg.baseSeed = 9;
+    cfg.ditherAmplitude = 1e-4f;
 
-    for (const unsigned threads : {1u, 4u}) {
-        SchedulerConfig cfg;
+    // Sequential reference: the offline pipeline, session by session.
+    std::vector<decoder::DecodeResult> seq;
+    for (unsigned u = 0; u < kUtterances; ++u)
+        seq.push_back(test::offlineDecode(*model, corpus[u], cfg, u));
+
+    for (const unsigned threads : {1u, 2u, 4u}) {
         cfg.numThreads = threads;
-        cfg.baseSeed = 9;
-        cfg.ditherAmplitude = 1e-4f;
-        DecodeScheduler engine(*model, cfg);
+        Engine engine(*model, cfg);
 
         std::vector<std::future<pipeline::RecognitionResult>> futures;
         for (unsigned u = 0; u < kUtterances; ++u)
@@ -299,7 +318,7 @@ TEST_F(ServerTest, ConcurrentBitIdenticalToSequential)
             EXPECT_EQ(r.sessionId, u);
             EXPECT_EQ(r.words, seq[u].words)
                 << "threads " << threads << " utterance " << u;
-            EXPECT_FLOAT_EQ(r.score, seq[u].score)
+            EXPECT_EQ(r.score, seq[u].score)
                 << "threads " << threads << " utterance " << u;
         }
 
@@ -319,14 +338,30 @@ TEST_F(ServerTest, DitherSeedingIsPerSessionNotShared)
     // function of (base, id).)
     const frontend::AudioSignal audio = testAudio(23);
 
-    SessionConfig a;
-    a.id = 3;
+    EngineOptions a;
+    a.numThreads = 2;
     a.baseSeed = 42;
     a.ditherAmplitude = 1e-3f;
-    const auto r1 = decodeChunked(*model, a, audio, 160);
-    const auto r2 = decodeChunked(*model, a, audio, 160);
-    EXPECT_EQ(r1.words, r2.words);
-    EXPECT_FLOAT_EQ(r1.score, r2.score);
+    const auto run = [&] {
+        // Four copies: the engine assigns session ids 0..3.
+        Engine engine(*model, a);
+        std::vector<std::future<pipeline::RecognitionResult>> futures;
+        for (unsigned u = 0; u < 4; ++u)
+            futures.push_back(engine.submit(audio));
+        std::vector<pipeline::RecognitionResult> results;
+        for (auto &f : futures)
+            results.push_back(f.get());
+        return results;
+    };
+    const auto r1 = run();
+    const auto r2 = run();
+    for (unsigned u = 0; u < 4; ++u) {
+        EXPECT_EQ(r1[u].words, r2[u].words) << u;
+        EXPECT_EQ(r1[u].score, r2[u].score) << u;
+        const auto want = test::offlineDecode(*model, audio, a, u);
+        EXPECT_EQ(r1[u].words, want.words) << u;
+        EXPECT_EQ(r1[u].score, want.score) << u;
+    }
 
     EXPECT_NE(deriveSeed(42, 3), deriveSeed(43, 3));
     EXPECT_NE(deriveSeed(42, 3), deriveSeed(42, 4));
@@ -334,9 +369,9 @@ TEST_F(ServerTest, DitherSeedingIsPerSessionNotShared)
 
 TEST_F(ServerTest, SchedulerDrainAndReuse)
 {
-    SchedulerConfig cfg;
+    EngineOptions cfg;
     cfg.numThreads = 2;
-    DecodeScheduler engine(*model, cfg);
+    Engine engine(*model, cfg);
 
     auto f1 = engine.submit(testAudio(31));
     engine.drain();
@@ -407,24 +442,23 @@ TEST_F(ServerTest, EngineStatsSearchSplitAndArenaTelemetry)
 
 TEST_F(ServerTest, ArenaGcWatermarkFlowsThroughSchedulerUnchanged)
 {
-    // A scheduler with the GC watermark enabled must produce results
-    // bit-identical to one without, and the arena telemetry must
-    // reach the engine snapshot.
+    // An engine with the GC watermark enabled must produce results
+    // bit-identical to the offline pipeline without it, and the arena
+    // telemetry must reach the engine snapshot.
     const frontend::AudioSignal audio = testAudio(57);
 
-    SchedulerConfig plain;
+    EngineOptions plain;
     plain.numThreads = 2;
-    DecodeScheduler ref(*model, plain);
-    const auto expected = ref.submit(audio).get();
+    const auto expected = test::offlineDecode(*model, audio, plain);
 
-    SchedulerConfig gc = plain;
+    EngineOptions gc = plain;
     gc.arenaGcWatermark = 256;  // tiny: collect constantly
-    DecodeScheduler engine(*model, gc);
+    Engine engine(*model, gc);
     const auto r = engine.submit(audio).get();
     engine.drain();
 
     EXPECT_EQ(r.words, expected.words);
-    EXPECT_FLOAT_EQ(r.score, expected.score);
+    EXPECT_EQ(r.score, expected.score);
 
     const auto snap = engine.stats();
     EXPECT_GT(snap.searchSeconds, 0.0);

@@ -3,19 +3,16 @@
  * The hub: stand up a demo model behind the network front door.
  *
  * Builds the same deterministic demo WFST + acoustic model the
- * examples use (a few seconds of training at startup), wraps it in a
- * batch-mode api::Engine, and serves the asr::net streaming protocol
- * until SIGINT/SIGTERM.
+ * examples use (a few seconds of training at startup), wraps it in
+ * an api::Engine, and serves the asr::net streaming protocol until
+ * SIGINT/SIGTERM.
  *
  *   $ ./tools/asr_server [port] [threads]
  *       port 0 (default) picks an ephemeral port; it is printed
  *       either way.
- *   $ ./tools/asr_server --per-session [port] [threads]
- *       per-session engine mode: one worker per live stream, so
- *       thread count caps concurrent streams and the overload
- *       answer RETRY_AFTER is easy to demo.
  *   $ ./tools/asr_server --max-streams N [port] [threads]
- *       server-level admission bound (RETRY_AFTER beyond N).
+ *       server-level admission bound (RETRY_AFTER beyond N; the
+ *       easy way to demo the overload answer).
  *   $ ./tools/asr_server --emit-demo-audio out.f32 [seed]
  *       write one synthesized demo utterance (raw float32
  *       little-endian, 16 kHz) for the satellite to stream, and
@@ -125,13 +122,10 @@ main(int argc, char **argv)
     // A satellite hanging up between our send() calls must surface
     // as EPIPE on that one connection, not kill the whole hub.
     std::signal(SIGPIPE, SIG_IGN);
-    bool per_session = false;
     std::size_t max_streams = 0;
     std::vector<const char *> positional;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--per-session") == 0) {
-            per_session = true;
-        } else if (std::strcmp(argv[i], "--max-streams") == 0 &&
+        if (std::strcmp(argv[i], "--max-streams") == 0 &&
                    i + 1 < argc) {
             max_streams = parseCountArg(argv[++i], "stream cap",
                                         1u << 20);
@@ -147,14 +141,8 @@ main(int argc, char **argv)
             positional.push_back(argv[i]);
         }
     }
-    const unsigned port =
-        positional.size() > 0
-            ? unsigned(std::strtoul(positional[0], nullptr, 10))
-            : 0;
-    if (port > 65535) {
-        std::fprintf(stderr, "invalid port %u\n", port);
-        return EXIT_FAILURE;
-    }
+    const std::uint16_t port =
+        positional.size() > 0 ? parsePortArg(positional[0]) : 0;
     const unsigned threads =
         positional.size() > 1
             ? parseCountArg(positional[1], "thread count", 256)
@@ -167,18 +155,16 @@ main(int argc, char **argv)
 
     api::EngineOptions eopts;
     eopts.numThreads = threads;
-    eopts.batchScoring = !per_session;
     api::Engine engine(model, eopts);
 
     net::ServerOptions sopts;
-    sopts.port = std::uint16_t(port);
+    sopts.port = port;
     sopts.maxStreams = max_streams;
     net::Server server(engine, sopts);
 
-    std::printf("asr_server: %s engine, %u threads, listening on "
-                "%s:%u\n",
-                per_session ? "per-session" : "batch", threads,
-                sopts.bindAddress.c_str(), unsigned(server.port()));
+    std::printf("asr_server: %u engine threads, listening on %s:%u\n",
+                threads, sopts.bindAddress.c_str(),
+                unsigned(server.port()));
     std::printf("stream audio with: ./tools/satellite %s %u "
                 "demo.f32\n",
                 sopts.bindAddress.c_str(), unsigned(server.port()));

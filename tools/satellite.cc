@@ -98,10 +98,9 @@ main(int argc, char **argv)
         return EXIT_FAILURE;
     }
     const std::string host = positional[0];
-    const unsigned long port =
-        std::strtoul(positional[1], nullptr, 10);
-    if (port == 0 || port > 65535) {
-        std::fprintf(stderr, "invalid port '%s'\n", positional[1]);
+    const unsigned long port = parsePortArg(positional[1]);
+    if (port == 0) {
+        std::fprintf(stderr, "port 0 cannot be dialled\n");
         return EXIT_FAILURE;
     }
 
