@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the simulator's primitive
  * components: cache tag accesses, hash upserts, FIFO/ROB operations,
- * WFST arc iteration, FFT, DNN forward frames, and the software
- * decoder itself.  These quantify the *simulation* substrate (host
+ * WFST arc iteration, FFT, one MFCC frame, DNN forward frames, and
+ * the software decoder itself.  These quantify the *simulation* substrate (host
  * performance), complementing the figure benches which measure the
  * *simulated* machine.
  */
@@ -16,6 +16,7 @@
 #include "common/rng.hh"
 #include "decoder/viterbi.hh"
 #include "frontend/fft.hh"
+#include "frontend/mfcc.hh"
 #include "sim/cache.hh"
 #include "sim/fifo.hh"
 #include "sim/reorder_buffer.hh"
@@ -126,17 +127,36 @@ BM_Fft(benchmark::State &state)
 {
     const std::size_t n = std::size_t(state.range(0));
     Rng rng(4);
-    std::vector<frontend::Complex> base(n);
-    for (auto &x : base)
+    std::vector<frontend::Complex> buf(n);
+    for (auto &x : buf)
         x = frontend::Complex(rng.uniform(), 0.0);
+    // A forward and an inverse transform per iteration bring the
+    // buffer back to (within rounding) where it started, so nothing
+    // but transforms is timed.
     for (auto _ : state) {
-        auto buf = base;
         frontend::fft(buf);
-        benchmark::DoNotOptimize(buf[0]);
+        frontend::fft(buf, /*inverse=*/true);
+        benchmark::DoNotOptimize(buf.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations() * n);
+    state.SetItemsProcessed(state.iterations() * 2 * n);
 }
 BENCHMARK(BM_Fft)->Arg(256)->Arg(512);
+
+void
+BM_MfccFrame(benchmark::State &state)
+{
+    const frontend::Mfcc mfcc;
+    Rng rng(5);
+    std::vector<float> window(mfcc.frameLength());
+    for (auto &x : window)
+        x = float(rng.uniform(-1.0, 1.0));
+    const float prev = float(rng.uniform(-1.0, 1.0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(mfcc.computeFrame(window, prev));
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MfccFrame);
 
 void
 BM_DnnForwardFrame(benchmark::State &state)

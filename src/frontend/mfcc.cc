@@ -21,7 +21,7 @@ Mfcc::melToHz(double mel)
 }
 
 Mfcc::Mfcc(const MfccConfig &config)
-    : cfg(config)
+    : cfg(config), plan(config.fftSize)
 {
     ASR_ASSERT(cfg.sampleRate > 0, "sample rate must be positive");
     ASR_ASSERT(cfg.numCeps <= cfg.numFilters,
@@ -117,27 +117,38 @@ Mfcc::computeFrame(std::span<const float> samples, float prev) const
                "frame needs exactly %zu samples, got %zu", frameLen,
                samples.size());
 
-    // Pre-emphasis + windowing. The scratch buffer is thread-local so
-    // concurrent sessions sharing one const Mfcc stay race-free while
-    // skipping one of the per-frame allocations (powerSpectrum and the
-    // mel/ceps vectors below still allocate each call).
-    static thread_local std::vector<double> buf;
-    buf.resize(frameLen);
-    for (std::size_t i = 0; i < frameLen; ++i) {
+    // Per-thread scratch, sized once per config: stage workers share
+    // one const Mfcc, and the returned cepstra row is the only
+    // allocation a frame makes.
+    struct Scratch
+    {
+        std::vector<double> windowed, re, im, power, mel;
+    };
+    static thread_local Scratch s;
+    s.windowed.resize(frameLen);
+    s.re.resize(cfg.fftSize);
+    s.im.resize(cfg.fftSize);
+    s.power.resize(cfg.fftSize / 2 + 1);
+    s.mel.resize(cfg.numFilters);
+
+    // Pre-emphasis + windowing (sample 0 peeled so the loop
+    // vectorizes).
+    s.windowed[0] =
+        (double(samples[0]) - cfg.preEmphasis * double(prev)) * window[0];
+    for (std::size_t i = 1; i < frameLen; ++i) {
         const double cur = samples[i];
-        const double p = i > 0 ? samples[i - 1] : prev;
-        buf[i] = (cur - cfg.preEmphasis * p) * window[i];
+        const double p = samples[i - 1];
+        s.windowed[i] = (cur - cfg.preEmphasis * p) * window[i];
     }
 
-    const std::vector<double> power = powerSpectrum(buf, cfg.fftSize);
+    plan.powerSpectrum(s.windowed, s.re, s.im, s.power);
 
     // Mel energies (log, floored to avoid -inf on silence).
-    std::vector<double> mel(cfg.numFilters);
     for (unsigned m = 0; m < cfg.numFilters; ++m) {
         double e = 0.0;
         for (const auto &[bin, w] : filters[m])
-            e += power[bin] * w;
-        mel[m] = std::log(std::max(e, 1e-10));
+            e += s.power[bin] * w;
+        s.mel[m] = std::log(std::max(e, 1e-10));
     }
 
     // DCT-II to cepstra.
@@ -145,7 +156,7 @@ Mfcc::computeFrame(std::span<const float> samples, float prev) const
     for (unsigned c = 0; c < cfg.numCeps; ++c) {
         double acc = 0.0;
         for (unsigned m = 0; m < cfg.numFilters; ++m)
-            acc += dct[c][m] * mel[m];
+            acc += dct[c][m] * s.mel[m];
         ceps[c] = float(acc);
     }
     return ceps;

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "frontend/audio.hh"
+#include "frontend/fft.hh"
 
 namespace asr::frontend {
 
@@ -36,7 +37,11 @@ struct MfccConfig
     double highFreqHz = 8000.0;    //!< clamped to Nyquist
 };
 
-/** MFCC extractor; construction precomputes window and filterbank. */
+/**
+ * MFCC extractor; construction precomputes the window, the FFT plan,
+ * the filterbank and the DCT.  Immutable afterwards, so one instance
+ * serves any number of threads.
+ */
 class Mfcc
 {
   public:
@@ -74,6 +79,7 @@ class Mfcc
     std::size_t frameLen;   //!< samples per analysis window
     std::size_t frameShift; //!< samples per hop
     std::vector<double> window;  //!< Hamming coefficients
+    FftPlan plan;                //!< fftSize-point transform
     /** filterbank[m] = list of (bin, weight) pairs. */
     std::vector<std::vector<std::pair<std::size_t, double>>> filters;
     /** DCT-II matrix, numCeps x numFilters, orthonormal. */
